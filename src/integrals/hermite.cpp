@@ -1,9 +1,12 @@
 #include "integrals/hermite.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "basis/spherical.hpp"
 #include "integrals/boys.hpp"
@@ -25,15 +28,31 @@ HermiteBasis::HermiteBasis(int l) : l_(l) {
   }
 }
 
+namespace {
+// One slot per order.  Every E build and r-integral call looks its order up
+// here, from every pool thread, so the hit path is a single acquire load.
+// Only the first use of an order takes the mutex; instances are never freed
+// (references are handed out for the program lifetime).
+constinit std::array<std::atomic<const HermiteBasis*>, kBoysMaxM + 1>
+    g_hermite_bases{};
+constinit std::mutex g_hermite_build_mutex;
+}  // namespace
+
 const HermiteBasis& HermiteBasis::get(int l) {
-  static std::mutex mutex;
-  static std::map<int, HermiteBasis> cache;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto it = cache.find(l);
-  if (it == cache.end()) {
-    it = cache.emplace(l, HermiteBasis(l)).first;
+  if (l < 0 || l > kBoysMaxM) {
+    throw std::out_of_range("HermiteBasis::get: order " + std::to_string(l) +
+                            " outside [0, kBoysMaxM]");
   }
-  return it->second;
+  std::atomic<const HermiteBasis*>& slot = g_hermite_bases[l];
+  const HermiteBasis* hb = slot.load(std::memory_order_acquire);
+  if (hb != nullptr) return *hb;
+  std::lock_guard<std::mutex> lock(g_hermite_build_mutex);
+  hb = slot.load(std::memory_order_relaxed);
+  if (hb == nullptr) {
+    hb = new HermiteBasis(l);
+    slot.store(hb, std::memory_order_release);
+  }
+  return *hb;
 }
 
 void Hermite1D::reset(int imax, int jmax, double xpa, double xpb, double p,
@@ -110,13 +129,20 @@ std::vector<PrimPair> make_prim_pairs(const Vec3& a_center,
 
 void build_e_matrix(int la, int lb, const Vec3& a, const Vec3& b, double alpha,
                     double beta, double coef, MatrixD& out) {
-  const int lab = la + lb;
-  const HermiteBasis& hb = HermiteBasis::get(lab);
+  const std::size_t nh = static_cast<std::size_t>(nherm(la + lb));
+  const std::size_t ncab = static_cast<std::size_t>(ncart(la) * ncart(lb));
+  if (out.rows() != nh || out.cols() != ncab) out.resize(nh, ncab);
+  build_e_matrix(la, lb, a, b, alpha, beta, coef, out.data());
+}
+
+std::size_t e_matrix_size(int la, int lb) {
+  return static_cast<std::size_t>(nherm(la + lb)) * ncart(la) * ncart(lb);
+}
+
+void build_e_matrix(int la, int lb, const Vec3& a, const Vec3& b, double alpha,
+                    double beta, double coef, double* out) {
+  const HermiteBasis& hb = HermiteBasis::get(la + lb);
   const int ncab = ncart(la) * ncart(lb);
-  if (out.rows() != static_cast<std::size_t>(hb.size()) ||
-      out.cols() != static_cast<std::size_t>(ncab)) {
-    out.resize(hb.size(), ncab);
-  }
 
   const double p = alpha + beta;
   Vec3 pc;
@@ -144,16 +170,34 @@ void build_e_matrix(int la, int lb, const Vec3& a, const Vec3& b, double alpha,
       const int col = ia * ncart(lb) + ib;
       for (int h = 0; h < hb.size(); ++h) {
         const auto& tuv = hb.component(h);
+        double& e = out[static_cast<std::size_t>(h) * ncab + col];
         if (tuv[0] > ax_a + ax_b || tuv[1] > ay_a + ay_b ||
             tuv[2] > az_a + az_b) {
-          out(h, col) = 0.0;
+          e = 0.0;
           continue;
         }
-        out(h, col) = coef * e1d[0](ax_a, ax_b, tuv[0]) *
-                      e1d[1](ay_a, ay_b, tuv[1]) * e1d[2](az_a, az_b, tuv[2]);
+        e = coef * e1d[0](ax_a, ax_b, tuv[0]) * e1d[1](ay_a, ay_b, tuv[1]) *
+            e1d[2](az_a, az_b, tuv[2]);
       }
     }
   }
+}
+
+ShellPairData make_shell_pair_data(const Shell& a, const Shell& b,
+                                   PrimPair* prims, double* e) {
+  make_prim_pairs(a.center, a.exponents, a.coefficients, b.center,
+                  b.exponents, b.coefficients, prims);
+  const std::size_t k = a.exponents.size() * b.exponents.size();
+  const std::size_t esz = e_matrix_size(a.l, b.l);
+  ShellPairData data{prims, e, 0.0};
+  for (std::size_t i = 0; i < k; ++i) {
+    build_e_matrix(a.l, b.l, a.center, b.center, prims[i].alpha,
+                   prims[i].beta, prims[i].coef, e + i * esz);
+  }
+  for (std::size_t i = 0; i < k * esz; ++i) {
+    data.e_max = std::max(data.e_max, std::fabs(e[i]));
+  }
+  return data;
 }
 
 void compute_r_integrals(int l_total, double alpha, const Vec3& pq,

@@ -6,8 +6,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <vector>
 
+#include "basis/basis_set.hpp"
 #include "chem/molecule.hpp"
 #include "linalg/matrix.hpp"
 
@@ -36,7 +38,9 @@ class HermiteBasis {
     return lut_[(t * (l_ + 1) + u) * (l_ + 1) + v];
   }
 
-  /// Shared cached instance per order.
+  /// Shared instance per order 0..kBoysMaxM, built once on first use and
+  /// never freed.  Lookups after the first take no lock; out-of-range orders
+  /// throw std::out_of_range.
   static const HermiteBasis& get(int l);
 
  private:
@@ -104,6 +108,33 @@ void make_prim_pairs(const Vec3& a_center, const std::vector<double>& a_exps,
 /// This is the E_AB / E_CD operand of the paper's Eq. 7 GEMMs.
 void build_e_matrix(int la, int lb, const Vec3& a, const Vec3& b, double alpha,
                     double beta, double coef, MatrixD& out);
+
+/// Allocation-free variant: writes the row-major E matrix to `out`, which
+/// must have room for e_matrix_size(la, lb) doubles.
+void build_e_matrix(int la, int lb, const Vec3& a, const Vec3& b, double alpha,
+                    double beta, double coef, double* out);
+
+/// Doubles in one E matrix of a (la, lb) pair:
+/// nherm(la+lb) * ncart(la) * ncart(lb).
+std::size_t e_matrix_size(int la, int lb);
+
+/// Iteration-invariant data of one ordered shell pair (a, b): its
+/// K = nprim(a) * nprim(b) primitive pairs and one E matrix per primitive
+/// pair.  A read-only view of storage owned elsewhere — a FockPlan arena for
+/// the plan-resident copy, or a kernel scratch arena for pairs built on the
+/// fly.
+struct ShellPairData {
+  const PrimPair* prims = nullptr;  ///< [K]
+  /// [K][nherm(la+lb)][ncart(la)*ncart(lb)], each E matrix row-major.
+  const double* e = nullptr;
+  double e_max = 0.0;  ///< max |E| over all K matrices (group scaling)
+};
+
+/// The one producer of shell-pair data: make_prim_pairs + build_e_matrix per
+/// primitive pair, written to caller storage — `prims` needs K slots and `e`
+/// K * e_matrix_size(a.l, b.l) doubles.  Returns the view of that storage.
+ShellPairData make_shell_pair_data(const Shell& a, const Shell& b,
+                                   PrimPair* prims, double* e);
 
 /// Hermite Coulomb r-integrals R^{(0)}_{tuv} for all t+u+v <= L, scaled by
 /// `prefactor`:  R recursion of Eq. 5 seeded with Boys values

@@ -79,6 +79,10 @@ double max_abs(const double* p, std::size_t n) {
   return m;
 }
 
+void scale_copy(const double* src, std::size_t n, double s, double* dst) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] * s;
+}
+
 }  // namespace
 
 EriClassKey BatchedEriEngine::classify(const QuartetRef& q) {
@@ -139,13 +143,6 @@ BatchStats BatchedEriEngine::compute_batch(
   const std::size_t kab = static_cast<std::size_t>(key.kab);
   const std::size_t kcd = static_cast<std::size_t>(key.kcd);
 
-  // --- Per-quartet primitive pairs and E operands into the arena ------------
-  const std::size_t e_bra_sz = static_cast<std::size_t>(nhb) * ncb;
-  const std::size_t e_ket_sz = static_cast<std::size_t>(nhk) * nck;
-  scratch.bra_pairs.resize(nq * kab);
-  scratch.ket_pairs.resize(nq * kcd);
-  scratch.bra_e.resize(nq * kab * e_bra_sz);
-  scratch.ket_e.resize(nq * kcd * e_ket_sz);
   if (verify_class) {
     for (const QuartetRef& ref : batch) {
       if (ref.a->l != key.la || ref.b->l != key.lb || ref.c->l != key.lc ||
@@ -159,47 +156,75 @@ BatchStats BatchedEriEngine::compute_batch(
       }
     }
   }
+
+  // --- Shell-pair data: primitive pairs and E operands ----------------------
+  // Both depend on the shell pair alone.  Every quartet reads them through a
+  // pointer: the plan-resident copy when the QuartetRef carries one, else a
+  // copy built here into the arena (sized up front so no pointer into it
+  // moves).  E_AB stays in its natural [nhb x ncb] layout; GEMM1 consumes it
+  // through the packed kernel's native transpose (no copies).
+  const std::size_t e_bra_sz = static_cast<std::size_t>(nhb) * ncb;
+  const std::size_t e_ket_sz = static_cast<std::size_t>(nhk) * nck;
+  const std::size_t fly_e_stride = kab * e_bra_sz + kcd * e_ket_sz;
+  const bool any_fly =
+      std::any_of(batch.begin(), batch.end(), [](const QuartetRef& r) {
+        return r.bra == nullptr || r.ket == nullptr;
+      });
+  if (any_fly) {
+    scratch.fly_data.resize(2 * nq);
+    scratch.fly_prims.resize(nq * (kab + kcd));
+    scratch.fly_e.resize(nq * fly_e_stride);
+  }
+  scratch.bra_data.resize(nq);
+  scratch.ket_data.resize(nq);
   for (std::size_t q = 0; q < nq; ++q) {
     const QuartetRef& ref = batch[q];
-    make_prim_pairs(ref.a->center, ref.a->exponents, ref.a->coefficients,
-                    ref.b->center, ref.b->exponents, ref.b->coefficients,
-                    scratch.bra_pairs.data() + q * kab);
-    make_prim_pairs(ref.c->center, ref.c->exponents, ref.c->coefficients,
-                    ref.d->center, ref.d->exponents, ref.d->coefficients,
-                    scratch.ket_pairs.data() + q * kcd);
-    for (std::size_t jp = 0; jp < kab; ++jp) {
-      const PrimPair& pp = scratch.bra_pairs[q * kab + jp];
-      // E_AB stays in its natural [nhb x ncb] layout; GEMM1 consumes it
-      // through the packed kernel's native transpose (no copies).
-      build_e_matrix(key.la, key.lb, ref.a->center, ref.b->center, pp.alpha,
-                     pp.beta, pp.coef, scratch.e_tmp);
-      std::copy(scratch.e_tmp.data(), scratch.e_tmp.data() + e_bra_sz,
-                scratch.bra_e.data() + (q * kab + jp) * e_bra_sz);
+    const ShellPairData* bra = ref.bra;
+    const ShellPairData* ket = ref.ket;
+    if (bra == nullptr) {
+      scratch.fly_data[2 * q] = make_shell_pair_data(
+          *ref.a, *ref.b, scratch.fly_prims.data() + q * (kab + kcd),
+          scratch.fly_e.data() + q * fly_e_stride);
+      bra = &scratch.fly_data[2 * q];
     }
-    for (std::size_t kp = 0; kp < kcd; ++kp) {
-      const PrimPair& pp = scratch.ket_pairs[q * kcd + kp];
-      build_e_matrix(key.lc, key.ld, ref.c->center, ref.d->center, pp.alpha,
-                     pp.beta, pp.coef, scratch.e_tmp);
-      std::copy(scratch.e_tmp.data(), scratch.e_tmp.data() + e_ket_sz,
-                scratch.ket_e.data() + (q * kcd + kp) * e_ket_sz);
+    if (ket == nullptr) {
+      scratch.fly_data[2 * q + 1] = make_shell_pair_data(
+          *ref.c, *ref.d, scratch.fly_prims.data() + q * (kab + kcd) + kab,
+          scratch.fly_e.data() + q * fly_e_stride + kab * e_bra_sz);
+      ket = &scratch.fly_data[2 * q + 1];
     }
+    scratch.bra_data[q] = bra;
+    scratch.ket_data[q] = ket;
   }
 
   // --- Group scaling for quantized execution (Section 3.2.1) ----------------
   // Scales are per class & per operand group; dequantization happens at the
-  // FP32->FP64 widening of each GEMM (dual-stage accumulation).
+  // FP32->FP64 widening of each GEMM (dual-stage accumulation).  The group
+  // maximum is the max of the stored per-pair maxima, and the scaled E
+  // operands are per-batch copies — pair data is never written.
   // Quantized execution needs the backend's reduced-precision datapath; on a
   // backend without it every transform GEMM runs exact FP64 instead.
   const GemmBackend& be = backend();
   const bool quant = config_.quantized() && be.capabilities().quantized;
   double s_bra = 1.0, s_ket = 1.0;
-  if (quant && config_.group_scaling) {
-    const double m_bra = max_abs(scratch.bra_e.data(), scratch.bra_e.size());
-    const double m_ket = max_abs(scratch.ket_e.data(), scratch.ket_e.size());
-    if (m_bra > 0.0) s_bra = 1.0 / m_bra;
-    if (m_ket > 0.0) s_ket = 1.0 / m_ket;
-    for (double& v : scratch.bra_e) v *= s_bra;
-    for (double& v : scratch.ket_e) v *= s_ket;
+  if (quant) {
+    if (config_.group_scaling) {
+      double m_bra = 0.0, m_ket = 0.0;
+      for (std::size_t q = 0; q < nq; ++q) {
+        m_bra = std::max(m_bra, scratch.bra_data[q]->e_max);
+        m_ket = std::max(m_ket, scratch.ket_data[q]->e_max);
+      }
+      if (m_bra > 0.0) s_bra = 1.0 / m_bra;
+      if (m_ket > 0.0) s_ket = 1.0 / m_ket;
+    }
+    scratch.bra_e.resize(nq * kab * e_bra_sz);
+    scratch.ket_e.resize(nq * kcd * e_ket_sz);
+    for (std::size_t q = 0; q < nq; ++q) {
+      scale_copy(scratch.bra_data[q]->e, kab * e_bra_sz, s_bra,
+                 scratch.bra_e.data() + q * kab * e_bra_sz);
+      scale_copy(scratch.ket_data[q]->e, kcd * e_ket_sz, s_ket,
+                 scratch.ket_e.data() + q * kcd * e_ket_sz);
+    }
   }
 
   const GemmConfig& gc = config_.gemm;
@@ -250,9 +275,9 @@ BatchStats BatchedEriEngine::compute_batch(
   // the batch-persistent operand cache.
   auto run_gemm1 = [&](std::size_t q, std::size_t jp, const double* pq,
                        double* c, double alpha) {
-    const double* ea = scratch.bra_e.data() + (q * kab + jp) * e_bra_sz;
     if (naive_fp16) {
-      be.fp16_baseline(ea, pq, c, ncb, nhk, nhb, alpha, 1.0, /*trans_a=*/true);
+      be.fp16_baseline(scratch.bra_e.data() + (q * kab + jp) * e_bra_sz, pq, c,
+                       ncb, nhk, nhb, alpha, 1.0, /*trans_a=*/true);
     } else if (quant) {
       quantize_to_float(pq, scratch.q_dyn.data(),
                         static_cast<std::size_t>(nhb) * nhk, gc.precision);
@@ -260,8 +285,8 @@ BatchStats BatchedEriEngine::compute_batch(
                /*trans_a=*/true, scratch.q_dyn.data(), false, c, ncb, nhk, nhb,
                alpha, 1.0, gc);
     } else {
-      be.fp64(ea, /*trans_a=*/true, pq, false, c, ncb, nhk, nhb, alpha, 1.0,
-              gc);
+      be.fp64(scratch.bra_data[q]->e + jp * e_bra_sz, /*trans_a=*/true, pq,
+              false, c, ncb, nhk, nhb, alpha, 1.0, gc);
     }
     stats.gemm_flops += gemm_flops(ncb, nhk, nhb);
   };
@@ -269,9 +294,10 @@ BatchStats BatchedEriEngine::compute_batch(
   // GEMM2 dispatch: C[ncb x nck] += alpha * (ab|q~] x E_CD.
   auto run_gemm2 = [&](std::size_t q, std::size_t kp, const double* abq_slice,
                        double* c, double alpha) {
-    const double* ek = scratch.ket_e.data() + (q * kcd + kp) * e_ket_sz;
     if (naive_fp16) {
-      be.fp16_baseline(abq_slice, ek, c, ncb, nck, nhk, alpha, 1.0);
+      be.fp16_baseline(abq_slice,
+                       scratch.ket_e.data() + (q * kcd + kp) * e_ket_sz, c,
+                       ncb, nck, nhk, alpha, 1.0);
     } else if (quant) {
       quantize_to_float(abq_slice, scratch.q_dyn.data(), abq_stride,
                         gc.precision);
@@ -279,7 +305,8 @@ BatchStats BatchedEriEngine::compute_batch(
                scratch.q_ket.data() + (q * kcd + kp) * e_ket_sz, false, c, ncb,
                nck, nhk, alpha, 1.0, gc);
     } else {
-      be.fp64(abq_slice, false, ek, false, c, ncb, nck, nhk, alpha, 1.0, gc);
+      be.fp64(abq_slice, false, scratch.ket_data[q]->e + kp * e_ket_sz, false,
+              c, ncb, nck, nhk, alpha, 1.0, gc);
     }
     stats.gemm_flops += gemm_flops(ncb, nck, nhk);
   };
@@ -291,8 +318,8 @@ BatchStats BatchedEriEngine::compute_batch(
       // Stage 1: r-integrals, produced striped (quartet-fastest), the order
       // a quartet-per-thread kernel writes coalesced.
       for (std::size_t q = 0; q < nq; ++q) {
-        const PrimPair& bra = scratch.bra_pairs[q * kab + jp];
-        const PrimPair& ket = scratch.ket_pairs[q * kcd + kp];
+        const PrimPair& bra = scratch.bra_data[q]->prims[jp];
+        const PrimPair& ket = scratch.ket_data[q]->prims[kp];
         const double denom = bra.p * ket.p * std::sqrt(bra.p + ket.p);
         const double pref = 2.0 * std::pow(kPi, 2.5) / denom;
         const double alpha_rq = bra.p * ket.p / (bra.p + ket.p);

@@ -28,6 +28,7 @@
 
 #include "accel/device.hpp"
 #include "basis/basis_set.hpp"
+#include "integrals/hermite.hpp"
 #include "kernelmako/class_plan.hpp"
 #include "kernelmako/eri_class.hpp"
 #include "linalg/backend.hpp"
@@ -36,11 +37,21 @@ namespace mako {
 
 /// One shell quartet to evaluate.  All quartets of a batch must share the
 /// same EriClassKey.
+///
+/// `bra` and `ket` optionally point at precomputed data of the pairs (a, b)
+/// and (c, d) — FockBuilder routing fills them from its FockPlan, whose
+/// storage outlives the batch.  compute_batch reads primitive pairs and E
+/// operands through these pointers; a null pointer (the default, so the
+/// four-shell form `QuartetRef{a, b, c, d}` still works) makes it build that
+/// pair with make_shell_pair_data into its scratch arena first.  Both ways
+/// give bit-identical results.
 struct QuartetRef {
   const Shell* a = nullptr;
   const Shell* b = nullptr;
   const Shell* c = nullptr;
   const Shell* d = nullptr;
+  const ShellPairData* bra = nullptr;  ///< data of (a, b), or null
+  const ShellPairData* ket = nullptr;  ///< data of (c, d), or null
 };
 
 /// Kernel configuration (what CompilerMako tunes).

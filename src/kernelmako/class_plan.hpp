@@ -94,11 +94,17 @@ class EriPlanCache {
 /// grow to the high-water mark of the classes seen and are never shrunk;
 /// after warm-up, compute_batch performs zero heap allocations.
 struct EriScratch {
-  // Per-quartet primitive-pair tables, flat [nq * kab] / [nq * kcd].
-  std::vector<PrimPair> bra_pairs, ket_pairs;
-  // E operand arenas: bra_e stores E_AB row-major [nhb x ncb] per (q, jp)
-  // (consumed through the GEMM's native transpose — never copied), ket_e
-  // stores E_CD row-major [nhk x nck] per (q, kp).
+  // Per-quartet shell-pair data, read through these pointers for every
+  // quartet: the plan-resident copy (QuartetRef::bra/ket) when given, else
+  // an entry of fly_data.
+  std::vector<const ShellPairData*> bra_data, ket_data;
+  // On-the-fly pair storage for quartets without plan data: two
+  // ShellPairData views per quartet over fly_prims / fly_e.
+  std::vector<ShellPairData> fly_data;
+  std::vector<PrimPair> fly_prims;
+  std::vector<double> fly_e;
+  // Quantized route only: the batch's E operands times the group scale,
+  // bra_e row-major [nhb x ncb] per (q, jp), ket_e [nhk x nck] per (q, kp).
   std::vector<double> bra_e, ket_e;
   // Quantized-operand caches: the E arenas rounded to the kernel precision
   // once per batch instead of once per GEMM call.
@@ -106,7 +112,6 @@ struct EriScratch {
   // r-integral staging, [p~|q~] assembly, and transform intermediates.
   std::vector<double> r_striped, r_blocked, r_tmp, abq, cart, pq_one, pq_all,
       sph_tmp;
-  MatrixD e_tmp;  ///< build_e_matrix staging
 };
 
 }  // namespace mako

@@ -167,6 +167,7 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
   Scratch& scratch = *scratch_;
   const FockPlan& plan = *plan_;
   const auto& pairs = plan.pairs();
+  const auto& pair_data = plan.pair_data();
   const std::size_t np = pairs.size();
   const auto& shells = basis_.shells();
   const std::size_t ns = shells.size();
@@ -366,7 +367,9 @@ FockStats FockBuilder::build_jk(const MatrixD& density,
           const std::uint32_t slot = plan.class_slot(bra->klass, ket->klass);
           Scratch::Bucket& bk =
               rs.buckets[slot * 2 + (quantized ? 1u : 0u)];
-          bk.refs.push_back(QuartetRef{bra->s1, bra->s2, ket->s1, ket->s2});
+          bk.refs.push_back(QuartetRef{bra->s1, bra->s2, ket->s1, ket->s2,
+                                       &pair_data[bra - pairs.data()],
+                                       &pair_data[ket - pairs.data()]});
           bk.weights.push_back(weight);
         }
       }

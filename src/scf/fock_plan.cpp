@@ -122,6 +122,37 @@ FockPlan::FockPlan(const BasisSet& basis, ThreadPool& pool) {
               return a.i2 < b.i2;
             });
 
+  // Pair data, parallel to the sorted pair list: offsets first (a serial
+  // prefix sum), then the two arenas, filled on the pool.
+  {
+    const std::size_t np = pairs_.size();
+    std::vector<std::size_t> prim_at(np + 1, 0), e_at(np + 1, 0);
+    for (std::size_t i = 0; i < np; ++i) {
+      const Shell& a = *pairs_[i].s1;
+      const Shell& b = *pairs_[i].s2;
+      const std::size_t k = static_cast<std::size_t>(a.nprim() * b.nprim());
+      prim_at[i + 1] = prim_at[i] + k;
+      e_at[i + 1] = e_at[i] + k * e_matrix_size(a.l, b.l);
+    }
+    pair_prims_.resize(prim_at[np]);
+    pair_e_.resize(e_at[np]);
+    pair_data_.resize(np);
+    const std::size_t nshards =
+        std::min(np, std::max<std::size_t>(pool.size(), 1));
+    const auto build_shard = [&](std::size_t s) {
+      for (std::size_t i = s; i < np; i += nshards) {
+        pair_data_[i] = make_shell_pair_data(
+            *pairs_[i].s1, *pairs_[i].s2, pair_prims_.data() + prim_at[i],
+            pair_e_.data() + e_at[i]);
+      }
+    };
+    if (nshards > 1) {
+      pool.parallel_for(nshards, build_shard);
+    } else if (nshards == 1) {
+      build_shard(0);
+    }
+  }
+
   // Owner-computes partition: kOwnerSlices fixed row slices of the sorted
   // triangle, monotone and area-balanced.  These boundaries are part of the
   // plan (not per-build state) because they define where the rank boundary
@@ -161,10 +192,13 @@ FockPlan::FockPlan(const BasisSet& basis, ThreadPool& pool) {
   for (const auto& [key, slot] : class_ids) classes_[slot] = key;
 
   MAKO_METRIC_OBSERVE("fock.plan_build_s", timer.seconds());
+  MAKO_METRIC_OBSERVE("fock.plan_pair_bytes",
+                      static_cast<double>(pair_data_bytes()));
   if (span.active()) {
-    char args[96];
-    std::snprintf(args, sizeof args, "\"pairs\":%zu,\"classes\":%zu",
-                  pairs_.size(), classes_.size());
+    char args[128];
+    std::snprintf(args, sizeof args,
+                  "\"pairs\":%zu,\"classes\":%zu,\"pair_bytes\":%zu",
+                  pairs_.size(), classes_.size(), pair_data_bytes());
     span.set_args(args);
   }
 }
@@ -211,12 +245,13 @@ std::shared_ptr<const FockPlan> FockPlanCache::get(const BasisSet& basis,
   }
   ++builds_;
   MAKO_METRIC_COUNT("fock.plan_builds", 1);
-  // Bound the cache: drop plans no builder holds anymore.  Entries for dead
-  // bases can never be hit again (the key embeds the shell-array address and
-  // content fingerprint), so evicting them only frees memory.
-  if (plans_.size() > 64) {
+  // Bound the cache: once over the cap, drop every plan no builder holds
+  // anymore.  Entries for dead bases can never be hit again (the key embeds
+  // the shell-array address and content fingerprint), so evicting them only
+  // frees memory — each pins its pair-data arena.
+  if (plans_.size() > kSoftCap) {
     for (auto e = plans_.begin(); e != plans_.end();) {
-      if (e->second.use_count() == 1 && e->first < key) {
+      if (e->second.use_count() == 1) {
         e = plans_.erase(e);
       } else {
         ++e;

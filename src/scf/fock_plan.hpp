@@ -17,7 +17,20 @@
 //     ready-to-batch QuartetRefs instead of re-deriving them per iteration;
 //   * the pair-class algebra: every quartet's EriClassKey is a pure
 //     function of its (bra pair class, ket pair class), precomputed as a
-//     flat lookup table so the routing pass classifies in O(1) with no map.
+//     flat lookup table so the routing pass classifies in O(1) with no map;
+//   * every pair's ShellPairData — its primitive pairs, one Hermite E matrix
+//     per primitive pair, and max|E| for quantized group scaling — built on
+//     the pool by make_shell_pair_data, the same producer the ERI kernel
+//     runs for pairs it gets without data.  Routing hands the kernel
+//     pointers to it (QuartetRef::bra/ket), so no iteration rebuilds pair
+//     data.  It lives in two immutable arenas (primitive pairs, E
+//     matrices) owned by the plan and freed with it; its size is
+//     pair_data_bytes():
+//         sum over pairs of K_ab * (nherm(la+lb) * ncart(la) * ncart(lb)
+//                                   doubles + one PrimPair),
+//     K_ab = nprim(a) * nprim(b), PrimPair = 64 bytes.  That is 3.1 MiB
+//     for the def2-TZVP water trimer, 0.27 MiB for the 6-31G water trimer
+//     and 19 KiB for STO-3G water.
 //
 // Only the density-dependent work — per-shell-pair density maxima and the
 // FP64/quantized/pruned route of each surviving quartet — remains in the
@@ -38,6 +51,7 @@
 #include <vector>
 
 #include "basis/basis_set.hpp"
+#include "integrals/hermite.hpp"
 #include "kernelmako/eri_class.hpp"
 #include "linalg/matrix.hpp"
 
@@ -72,8 +86,11 @@ class FockPlan {
   /// equal kMaxCommRanks, static_asserted in fock.cpp).
   static constexpr std::size_t kOwnerSlices = 16;
 
-  /// Builds the plan; the Schwarz-bound pass runs on `pool`.
+  /// Builds the plan; the Schwarz-bound and pair-data passes run on `pool`.
   FockPlan(const BasisSet& basis, ThreadPool& pool);
+  // pair_data() views point into this plan's own arenas.
+  FockPlan(const FockPlan&) = delete;
+  FockPlan& operator=(const FockPlan&) = delete;
 
   /// Shell-pair Schwarz bound matrix (num_shells x num_shells, symmetric).
   [[nodiscard]] const MatrixD& schwarz() const noexcept { return schwarz_; }
@@ -82,6 +99,19 @@ class FockPlan {
   /// for determinism).
   [[nodiscard]] const std::vector<FockShellPair>& pairs() const noexcept {
     return pairs_;
+  }
+
+  /// Data of each pair, parallel to pairs(): pair_data()[i] describes the
+  /// ordered pair (pairs()[i].s1, pairs()[i].s2).  Views into the plan's
+  /// arenas, valid for the plan's lifetime.
+  [[nodiscard]] const std::vector<ShellPairData>& pair_data() const noexcept {
+    return pair_data_;
+  }
+
+  /// Bytes of the pair-data arenas (E matrices plus primitive pairs).
+  [[nodiscard]] std::size_t pair_data_bytes() const noexcept {
+    return pair_prims_.size() * sizeof(PrimPair) +
+           pair_e_.size() * sizeof(double);
   }
 
   [[nodiscard]] std::size_t num_pair_classes() const noexcept { return npc_; }
@@ -121,6 +151,9 @@ class FockPlan {
  private:
   MatrixD schwarz_;
   std::vector<FockShellPair> pairs_;
+  std::vector<ShellPairData> pair_data_;  ///< parallel to pairs_
+  std::vector<PrimPair> pair_prims_;  ///< arena behind pair_data_[i].prims
+  std::vector<double> pair_e_;        ///< arena behind pair_data_[i].e
   std::size_t npc_ = 0;                ///< number of distinct pair classes
   std::vector<EriClassKey> classes_;   ///< distinct quartet classes
   std::vector<std::uint32_t> slot_;    ///< [npc_ x npc_] -> class slot
@@ -165,6 +198,10 @@ class FockPlanCache {
       return fingerprint < o.fingerprint;
     }
   };
+
+  /// Cache size above which an insertion evicts every plan no builder
+  /// holds.
+  static constexpr std::size_t kSoftCap = 64;
 
   mutable std::mutex mutex_;
   std::map<Key, std::shared_ptr<const FockPlan>> plans_;

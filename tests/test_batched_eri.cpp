@@ -4,10 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
 
+#include "chem/builders.hpp"
 #include "compilermako/autotuner.hpp"
 #include "integrals/eri_reference.hpp"
 #include "kernelmako/batched_eri.hpp"
+#include "parallel/thread_pool.hpp"
+#include "scf/fock_plan.hpp"
 
 namespace mako {
 namespace {
@@ -191,6 +199,152 @@ TEST(BatchedEriTest, PrecisionErrorOrdering) {
   EXPECT_LT(e32, e16);
   EXPECT_LE(e32, etf * 1.01 + 1e-15);
   EXPECT_LE(etf, e16 * 1.5 + 1e-15);
+}
+
+// --- Plan-resident pair data: bit-identity with on-the-fly pairs -------------
+
+/// One class-homogeneous batch, as bare refs (pairs built on the fly) and as
+/// the same refs carrying the plan's pair data.
+struct PairDataBatch {
+  EriClassKey key;
+  std::vector<QuartetRef> bare, with_data;
+};
+
+/// Up to `per_class` quartets of every ERI class of the plan's basis, spread
+/// over the class so one batch mixes distinct pairs, in FockBuilder's
+/// canonical roles (bra = the lexicographically greater pair).
+std::vector<PairDataBatch> every_class(const FockPlan& plan,
+                                       std::size_t per_class) {
+  const std::vector<FockShellPair>& pairs = plan.pairs();
+  std::map<EriClassKey, std::vector<std::pair<std::size_t, std::size_t>>>
+      by_class;
+  for (std::size_t bi = 0; bi < pairs.size(); ++bi) {
+    for (std::size_t ki = bi; ki < pairs.size(); ++ki) {
+      std::size_t b = bi, k = ki;
+      if (pairs[k].i1 > pairs[b].i1 ||
+          (pairs[k].i1 == pairs[b].i1 && pairs[k].i2 > pairs[b].i2)) {
+        std::swap(b, k);
+      }
+      const EriClassKey& key =
+          plan.quartet_classes()[plan.class_slot(pairs[b].klass,
+                                                 pairs[k].klass)];
+      by_class[key].emplace_back(b, k);
+    }
+  }
+  std::vector<PairDataBatch> batches;
+  for (const auto& [key, quartets] : by_class) {
+    PairDataBatch batch;
+    batch.key = key;
+    const std::size_t stride =
+        std::max<std::size_t>(1, quartets.size() / per_class);
+    for (std::size_t i = 0; i < quartets.size() && batch.bare.size() < per_class;
+         i += stride) {
+      const FockShellPair& bra = pairs[quartets[i].first];
+      const FockShellPair& ket = pairs[quartets[i].second];
+      batch.bare.push_back(QuartetRef{bra.s1, bra.s2, ket.s1, ket.s2});
+      batch.with_data.push_back(
+          QuartetRef{bra.s1, bra.s2, ket.s1, ket.s2,
+                     &plan.pair_data()[quartets[i].first],
+                     &plan.pair_data()[quartets[i].second]});
+    }
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
+KernelConfig kernel_config(const std::string& name) {
+  KernelConfig config;
+  if (name == "fp32") config.gemm.precision = Precision::kFP32;
+  if (name == "tf32") config.gemm.precision = Precision::kTF32;
+  if (name == "fp16" || name == "fp16_naive") {
+    config.gemm.precision = Precision::kFP16;
+  }
+  if (name == "fp16_naive") config.dual_stage_accumulation = false;
+  if (name == "fp64_unfused") {
+    config.fuse_gemms = false;
+    config.use_swizzle = false;
+  }
+  return config;
+}
+
+class PairDataIdentityTest
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
+
+TEST_P(PairDataIdentityTest, PlanPairDataGivesByteIdenticalBatches) {
+  const auto& [basis, config_name] = GetParam();
+  const Molecule w = make_water();
+  const BasisSet bs(w, basis);
+  const FockPlan plan(bs, ThreadPool::global());
+  const BatchedEriEngine engine(kernel_config(config_name));
+
+  std::vector<std::vector<double>> bare_out, data_out;
+  const std::vector<PairDataBatch> batches = every_class(plan, 2);
+  ASSERT_FALSE(batches.empty());
+  for (const PairDataBatch& batch : batches) {
+    engine.compute_batch(batch.key, std::span<const QuartetRef>(batch.bare),
+                         bare_out);
+    engine.compute_batch(batch.key,
+                         std::span<const QuartetRef>(batch.with_data),
+                         data_out);
+    ASSERT_EQ(bare_out.size(), data_out.size());
+    for (std::size_t q = 0; q < bare_out.size(); ++q) {
+      ASSERT_EQ(bare_out[q].size(), data_out[q].size());
+      EXPECT_EQ(std::memcmp(bare_out[q].data(), data_out[q].data(),
+                            bare_out[q].size() * sizeof(double)),
+                0)
+          << "class " << batch.key.name() << " quartet " << q;
+    }
+  }
+}
+
+// The naive binary16 accumulator is emulated element by element and takes
+// minutes on the g-shell classes, so it runs on 6-31G only.
+INSTANTIATE_TEST_SUITE_P(
+    BasesAndFormats, PairDataIdentityTest,
+    ::testing::Values(std::make_tuple("def2-qzvp", "fp64"),
+                      std::make_tuple("def2-qzvp", "fp64_unfused"),
+                      std::make_tuple("def2-qzvp", "fp32"),
+                      std::make_tuple("def2-qzvp", "tf32"),
+                      std::make_tuple("def2-qzvp", "fp16"),
+                      std::make_tuple("6-31g", "fp64"),
+                      std::make_tuple("6-31g", "fp64_unfused"),
+                      std::make_tuple("6-31g", "fp32"),
+                      std::make_tuple("6-31g", "tf32"),
+                      std::make_tuple("6-31g", "fp16"),
+                      std::make_tuple("6-31g", "fp16_naive")),
+    [](const auto& info) {
+      std::string name =
+          std::get<0>(info.param) == "6-31g" ? "W631g" : "WQzvp";
+      return name + "_" + std::get<1>(info.param);
+    });
+
+TEST(BatchedEriTest, MixedPairPointersMatchBareRefs) {
+  // Within one batch, some quartets carry pair data and some do not; each
+  // null pointer is built on the fly beside the plan-resident ones.
+  const Molecule w = make_water();
+  const BasisSet bs(w, "6-31g");
+  const FockPlan plan(bs, ThreadPool::global());
+  KernelConfig config;
+  config.gemm.precision = Precision::kFP16;
+  const BatchedEriEngine engine(config);
+  std::vector<std::vector<double>> bare_out, mixed_out;
+  for (PairDataBatch& batch : every_class(plan, 6)) {
+    for (std::size_t q = 0; q < batch.with_data.size(); ++q) {
+      if (q % 3 == 1) batch.with_data[q].bra = nullptr;
+      if (q % 3 == 2) batch.with_data[q].ket = nullptr;
+    }
+    engine.compute_batch(batch.key, std::span<const QuartetRef>(batch.bare),
+                         bare_out);
+    engine.compute_batch(batch.key,
+                         std::span<const QuartetRef>(batch.with_data),
+                         mixed_out);
+    for (std::size_t q = 0; q < bare_out.size(); ++q) {
+      EXPECT_EQ(std::memcmp(bare_out[q].data(), mixed_out[q].data(),
+                            bare_out[q].size() * sizeof(double)),
+                0)
+          << "class " << batch.key.name() << " quartet " << q;
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <tuple>
@@ -19,7 +21,9 @@
 #include "basis/basis_set.hpp"
 #include "chem/builders.hpp"
 #include "core/execution_context.hpp"
+#include "basis/spherical.hpp"
 #include "integrals/schwarz.hpp"
+#include "parallel/simcomm.hpp"
 #include "parallel/thread_pool.hpp"
 #include "scf/fock.hpp"
 #include "scf/fock_plan.hpp"
@@ -421,6 +425,253 @@ TEST(FockPlanTest, SecondBuilderOverSameBasisHitsThePlanCache) {
   EXPECT_EQ(cache.builds(), 2);
   EXPECT_EQ(cache.size(), 2u);
 }
+
+// --- Plan-resident pair data --------------------------------------------------
+
+TEST(FockPlanTest, PairDataMatchesTheProducerAndTheSizeFormula) {
+  const Molecule w = make_water();
+  const BasisSet bs(w, "6-31g");
+  const FockPlan plan(bs, ThreadPool::global());
+  ASSERT_EQ(plan.pair_data().size(), plan.pairs().size());
+
+  std::size_t bytes = 0;
+  std::vector<PrimPair> prims;
+  std::vector<double> e;
+  for (std::size_t i = 0; i < plan.pairs().size(); ++i) {
+    const Shell& a = *plan.pairs()[i].s1;
+    const Shell& b = *plan.pairs()[i].s2;
+    const std::size_t k = static_cast<std::size_t>(a.nprim() * b.nprim());
+    const std::size_t ne =
+        k * nherm(a.l + b.l) * ncart(a.l) * ncart(b.l);
+    bytes += ne * sizeof(double) + k * sizeof(PrimPair);
+
+    prims.resize(k);
+    e.resize(ne);
+    const ShellPairData want =
+        make_shell_pair_data(a, b, prims.data(), e.data());
+    const ShellPairData& got = plan.pair_data()[i];
+    EXPECT_EQ(got.e_max, want.e_max);
+    EXPECT_EQ(std::memcmp(got.e, e.data(), ne * sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(got.prims, prims.data(), k * sizeof(PrimPair)), 0);
+  }
+  EXPECT_EQ(plan.pair_data_bytes(), bytes);
+}
+
+TEST(FockPlanTest, CacheEvictsEveryIdlePlanOverTheCap) {
+  // Inserting keys in descending address order is the worst case for an
+  // eviction that only looks below the new key: every dead plan sorts above
+  // it.  The cache must still stay within one insertion of its cap.
+  const Molecule w = make_water();
+  std::vector<std::unique_ptr<BasisSet>> bases;
+  for (int i = 0; i < 100; ++i) {
+    bases.push_back(std::make_unique<BasisSet>(w, "sto-3g"));
+  }
+  std::sort(bases.begin(), bases.end(), [](const auto& x, const auto& y) {
+    return x->shells().data() > y->shells().data();
+  });
+
+  ExecutionContextOptions ctx_opt;
+  ctx_opt.make_active = false;
+  const ExecutionContext ctx(ctx_opt);
+  FockPlanCache& cache = ctx.components().get<FockPlanCache>();
+  // One plan stays held by a builder throughout.
+  const FockBuilder holder(*bases[50], {}, &ctx);
+  const FockPlan* held = &holder.plan();
+
+  for (const auto& basis : bases) {
+    cache.get(*basis, ctx.pool());
+    EXPECT_LE(cache.size(), 65u);
+  }
+  const std::int64_t builds = cache.builds();
+  EXPECT_EQ(cache.get(*bases[50], ctx.pool()).get(), held);
+  EXPECT_EQ(cache.builds(), builds);
+}
+
+/// Sums the integrals of one spherical quartet into J and K with the
+/// canonical 8-fold permutation weights, in the same order as FockBuilder.
+void digest_quartet(const MatrixD& d, MatrixD& j, MatrixD& k, const Shell& sa,
+                    const Shell& sb, const Shell& sc, const Shell& sd,
+                    double weight, const std::vector<double>& v) {
+  const std::size_t oa = sa.sph_offset, ob = sb.sph_offset,
+                    oc = sc.sph_offset, od = sd.sph_offset;
+  std::size_t idx = 0;
+  for (int m = 0; m < sa.num_sph(); ++m) {
+    for (int n = 0; n < sb.num_sph(); ++n) {
+      for (int s = 0; s < sc.num_sph(); ++s) {
+        for (int l = 0; l < sd.num_sph(); ++l, ++idx) {
+          const double val = weight * v[idx];
+          if (val == 0.0) continue;
+          const std::size_t im = oa + m, in = ob + n, is = oc + s,
+                            il = od + l;
+          const double jbra = 2.0 * d(is, il) * val;
+          const double jket = 2.0 * d(im, in) * val;
+          j(im, in) += jbra;
+          j(in, im) += jbra;
+          j(is, il) += jket;
+          j(il, is) += jket;
+          const double k1 = d(in, il) * val;
+          const double k2 = d(im, il) * val;
+          const double k3 = d(in, is) * val;
+          const double k4 = d(im, is) * val;
+          k(im, is) += k1;
+          k(is, im) += k1;
+          k(in, is) += k2;
+          k(is, in) += k2;
+          k(im, il) += k3;
+          k(il, im) += k3;
+          k(in, il) += k4;
+          k(il, in) += k4;
+        }
+      }
+    }
+  }
+}
+
+/// J/K of FockBuilder's Mako path with bare QuartetRefs — every pair built
+/// on the fly, as before pair data moved into the plan.  Same routing, same
+/// class-slot/precision/batch order per owner slice, same pinned fold as a
+/// single-rank build_jk; the exhaustive scan visits quartets the early exit
+/// skips, but those are all pruned.
+void bare_quartet_jk(const BasisSet& bs, const FockPlan& plan,
+                     const ExecutionContext& ctx, const MatrixD& density,
+                     const IterationPolicy& policy, MatrixD& j, MatrixD& k) {
+  constexpr std::size_t kS = FockPlan::kOwnerSlices;
+  constexpr std::size_t kBatch = FockOptions{}.batch_size;
+  const auto& shells = bs.shells();
+  const std::size_t ns = shells.size();
+  const std::size_t nbf = bs.nbf();
+  const auto& pairs = plan.pairs();
+  const std::size_t nslots = plan.quartet_classes().size();
+  MatrixD dmax(ns, ns, 0.0);
+  for (std::size_t a = 0; a < ns; ++a) {
+    for (std::size_t b = 0; b < ns; ++b) {
+      dmax(a, b) = shell_block_max(density, shells[a], shells[b]);
+    }
+  }
+  std::vector<MatrixD> sj(kS, MatrixD(nbf, nbf, 0.0));
+  std::vector<MatrixD> sk(kS, MatrixD(nbf, nbf, 0.0));
+  std::vector<std::vector<double>> out;
+  for (std::size_t s = 0; s < kS; ++s) {
+    std::vector<std::vector<QuartetRef>> refs(nslots * 2);
+    std::vector<std::vector<float>> weights(nslots * 2);
+    for (std::size_t bi = plan.slice_rows()[s]; bi < plan.slice_rows()[s + 1];
+         ++bi) {
+      for (std::size_t ki = bi; ki < pairs.size(); ++ki) {
+        const FockShellPair* bra = &pairs[bi];
+        const FockShellPair* ket = &pairs[ki];
+        if (ket->i1 > bra->i1 || (ket->i1 == bra->i1 && ket->i2 > bra->i2)) {
+          std::swap(bra, ket);
+        }
+        const std::size_t a = bra->i1, b = bra->i2, c = ket->i1,
+                          dd = ket->i2;
+        const double dw =
+            std::max({dmax(a, b), dmax(c, dd), dmax(a, c), dmax(a, dd),
+                      dmax(b, c), dmax(b, dd)});
+        const double bound = bra->q * ket->q * std::max(dw, 1e-30);
+        const IntegralClass route =
+            policy.allow_quantized
+                ? classify_integral(bound, policy.fp64_threshold,
+                                    policy.prune_threshold)
+                : (bound >= policy.prune_threshold ? IntegralClass::kFull
+                                                   : IntegralClass::kPruned);
+        if (route == IntegralClass::kPruned) continue;
+        bool quantized = route == IntegralClass::kQuantized;
+        if (quantized && policy.quantized_max_l >= 0 &&
+            std::max({bra->s1->l, bra->s2->l, ket->s1->l, ket->s2->l}) >
+                policy.quantized_max_l) {
+          quantized = false;
+        }
+        const std::size_t bucket =
+            plan.class_slot(bra->klass, ket->klass) * 2 + (quantized ? 1 : 0);
+        refs[bucket].push_back(QuartetRef{bra->s1, bra->s2, ket->s1, ket->s2});
+        weights[bucket].push_back(pairs[bi].self_weight *
+                                  pairs[ki].self_weight *
+                                  (bi == ki ? 0.5f : 1.0f));
+      }
+    }
+    for (std::size_t bucket = 0; bucket < refs.size(); ++bucket) {
+      if (refs[bucket].empty()) continue;
+      KernelConfig config;
+      config.gemm.precision =
+          bucket % 2 == 1 ? policy.quant_precision : Precision::kFP64;
+      const BatchedEriEngine engine(config, &ctx.backend(), &ctx.plans());
+      const EriClassKey& key = plan.quartet_classes()[bucket / 2];
+      for (std::size_t at = 0; at < refs[bucket].size(); at += kBatch) {
+        const std::size_t n = std::min(kBatch, refs[bucket].size() - at);
+        engine.compute_batch(
+            key, std::span<const QuartetRef>(refs[bucket].data() + at, n),
+            out);
+        for (std::size_t i = 0; i < n; ++i) {
+          const QuartetRef& qr = refs[bucket][at + i];
+          digest_quartet(density, sj[s], sk[s], *qr.a, *qr.b, *qr.c, *qr.d,
+                         weights[bucket][at + i], out[i]);
+        }
+      }
+    }
+  }
+  std::array<MatrixD*, kS> part;
+  for (std::size_t s = 0; s < kS; ++s) part[s] = &sj[s];
+  pinned_tree_sum(part.data(), kS);
+  for (std::size_t s = 0; s < kS; ++s) part[s] = &sk[s];
+  pinned_tree_sum(part.data(), kS);
+  j.resize(nbf, nbf, 0.0);
+  k.resize(nbf, nbf, 0.0);
+  j += sj[0];
+  k += sk[0];
+}
+
+bool same_bytes(const MatrixD& x, const MatrixD& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+}
+
+class BareQuartetPathTest
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(BareQuartetPathTest, BuildJkIsByteIdenticalToBareQuartetRefs) {
+  const auto& [backend, ranks] = GetParam();
+  ExecutionContextOptions ctx_opt;
+  ctx_opt.backend = backend;
+  ctx_opt.ranks = ranks;
+  ctx_opt.make_active = false;
+  const ExecutionContext ctx(ctx_opt);
+
+  const Molecule w = make_water();
+  const BasisSet bs(w, "6-31g");
+  const MatrixD d = random_symmetric_density(bs.nbf(), 11);
+  const FockBuilder builder(bs, {}, &ctx);
+
+  IterationPolicy fp64 = exact_policy();
+  fp64.prune_threshold = 1e-12;
+  IterationPolicy quant;
+  quant.allow_quantized = true;
+  quant.fp64_threshold = 1e-2;
+  quant.prune_threshold = 1e-12;
+  quant.quant_precision = Precision::kFP16;
+  for (const IterationPolicy& policy : {fp64, quant}) {
+    MatrixD j, k, j_bare, k_bare;
+    const FockStats stats = builder.build_jk(d, policy, j, k);
+    bare_quartet_jk(bs, builder.plan(), ctx, d, policy, j_bare, k_bare);
+    EXPECT_TRUE(same_bytes(j, j_bare)) << "quantized=" << policy.allow_quantized;
+    EXPECT_TRUE(same_bytes(k, k_bare)) << "quantized=" << policy.allow_quantized;
+    EXPECT_GT(stats.quartets_fp64, 0);
+    if (policy.allow_quantized) {
+      EXPECT_GT(stats.quartets_quantized, 0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendsAndRanks, BareQuartetPathTest,
+    ::testing::Combine(::testing::Values(std::string("blocked+quantized"),
+                                         std::string("blocked"),
+                                         std::string("reference")),
+                       ::testing::Values(1, 4)),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param);
+      if (name == "blocked+quantized") name = "blocked_quantized";
+      return name + "_ranks" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace mako

@@ -1,10 +1,16 @@
 // MMD machinery tests: Hermite index bases, E coefficients and r-integrals.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
+#include "basis/spherical.hpp"
 #include "integrals/boys.hpp"
 #include "integrals/hermite.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace mako {
 namespace {
@@ -173,6 +179,93 @@ TEST(RIntegralTest, SsssMatchesClosedForm) {
   compute_r_integrals(0, alpha, pq, pref, r.data());
   const double f0 = BoysTable::instance().value(0, alpha * 1.9 * 1.9);
   EXPECT_NEAR(r[0], pref * f0, 1e-13);
+}
+
+// --- Shared read-only tables under concurrency -------------------------------
+
+TEST(HermiteTest, ConcurrentGetReturnsOneStableInstancePerOrder) {
+  // Every pool thread looks up every order at once, each starting at a
+  // different order, so first-use builds race with lock-free hits.  Run
+  // under TSan in CI.
+  ThreadPool pool(4);
+  const std::size_t nthreads = pool.size();
+  constexpr int kOrders = kBoysMaxM + 1;
+  std::vector<std::vector<const HermiteBasis*>> seen(
+      nthreads, std::vector<const HermiteBasis*>(kOrders, nullptr));
+  std::atomic<std::size_t> arrived{0};
+  pool.parallel_for(nthreads, [&](std::size_t t) {
+    // Bounded rendezvous: start together when the pool runs every task
+    // concurrently, and never deadlock when it does not.
+    arrived.fetch_add(1);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    while (arrived.load() < nthreads &&
+           std::chrono::steady_clock::now() < give_up) {
+    }
+    for (int i = 0; i < kOrders; ++i) {
+      const int l = (i + static_cast<int>(t) * 7) % kOrders;
+      seen[t][l] = &HermiteBasis::get(l);
+    }
+  });
+  for (int l = 0; l < kOrders; ++l) {
+    const HermiteBasis* first = seen[0][l];
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first->order(), l);
+    EXPECT_EQ(first->size(), nherm(l));
+    for (std::size_t t = 1; t < nthreads; ++t) {
+      EXPECT_EQ(seen[t][l], first) << "order " << l << " thread " << t;
+    }
+    EXPECT_EQ(&HermiteBasis::get(l), first);
+  }
+}
+
+TEST(HermiteTest, OrderOutsideTheTableThrows) {
+  EXPECT_THROW(HermiteBasis::get(-1), std::out_of_range);
+  EXPECT_THROW(HermiteBasis::get(kBoysMaxM + 1), std::out_of_range);
+}
+
+// --- Shell-pair data producer ---------------------------------------------------
+
+TEST(HermiteTest, ShellPairDataMatchesPrimPairsAndEMatrices) {
+  Shell a, b;
+  a.l = 2;
+  a.center = {0.1, -0.2, 0.3};
+  a.exponents = {3.0, 0.8};
+  a.coefficients = {0.4, 0.7};
+  b.l = 1;
+  b.center = {-0.5, 0.4, 1.1};
+  b.exponents = {1.3, 0.5, 0.2};
+  b.coefficients = {0.2, 0.5, 0.6};
+  const std::size_t k = 6;
+  const std::size_t esz = e_matrix_size(a.l, b.l);
+  ASSERT_EQ(esz, static_cast<std::size_t>(nherm(3) * ncart(2) * ncart(1)));
+
+  std::vector<PrimPair> prims(k);
+  std::vector<double> e(k * esz);
+  const ShellPairData data =
+      make_shell_pair_data(a, b, prims.data(), e.data());
+  EXPECT_EQ(data.prims, prims.data());
+  EXPECT_EQ(data.e, e.data());
+
+  const std::vector<PrimPair> want = make_prim_pairs(
+      a.center, a.exponents, a.coefficients, b.center, b.exponents,
+      b.coefficients);
+  double e_max = 0.0;
+  MatrixD em;
+  for (std::size_t i = 0; i < k; ++i) {
+    EXPECT_EQ(prims[i].alpha, want[i].alpha);
+    EXPECT_EQ(prims[i].beta, want[i].beta);
+    EXPECT_EQ(prims[i].coef, want[i].coef);
+    build_e_matrix(a.l, b.l, a.center, b.center, want[i].alpha, want[i].beta,
+                   want[i].coef, em);
+    ASSERT_EQ(em.size(), esz);
+    for (std::size_t j = 0; j < esz; ++j) {
+      EXPECT_EQ(e[i * esz + j], em.data()[j]);
+      e_max = std::max(e_max, std::fabs(em.data()[j]));
+    }
+  }
+  EXPECT_EQ(data.e_max, e_max);
+  EXPECT_GT(data.e_max, 0.0);
 }
 
 }  // namespace
