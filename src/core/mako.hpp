@@ -63,7 +63,7 @@ struct MakoOptions {
   /// crash-consistent checkpoints, resume bit-identically, stop gracefully
   /// when the budget expires.
   DurabilityOptions durability{};
-  /// >0: liveness watchdog stall window (seconds); see ResilienceOptions.
+  /// >0: liveness watchdog stall window (seconds); see ScfOptions.
   double watchdog_seconds = 0.0;
 };
 

@@ -79,6 +79,8 @@ class Matrix {
   friend Matrix operator*(Matrix a, T s) { return a *= s; }
   friend Matrix operator*(T s, Matrix a) { return a *= s; }
 
+  bool operator==(const Matrix&) const = default;
+
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -3,44 +3,72 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <utility>
+#include <string>
+#include <type_traits>
 
 namespace mako {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'A', 'K', 'O', 'C', 'K', 'P', 'T'};
-// Version 2 appended the precision-governor ladder stage to META.
-constexpr std::uint32_t kFormatVersion = 2;
+// Version 3: one section per ScfState member, from the field table below.
+constexpr std::uint32_t kFormatVersion = 3;
 
-/// Section tags (fourcc, host-endian u32).
-constexpr std::uint32_t fourcc(const char (&s)[5]) {
+/// Section tag (fourcc, host-endian u32) of a four-character name.
+constexpr std::uint32_t fourcc(const char* s) {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(s[0])) |
          static_cast<std::uint32_t>(static_cast<unsigned char>(s[1])) << 8 |
          static_cast<std::uint32_t>(static_cast<unsigned char>(s[2])) << 16 |
          static_cast<std::uint32_t>(static_cast<unsigned char>(s[3])) << 24;
 }
-constexpr std::uint32_t kTagMeta = fourcc("META");
-constexpr std::uint32_t kTagDensity = fourcc("DENS");
-constexpr std::uint32_t kTagFock = fourcc("FOCK");
-constexpr std::uint32_t kTagCoef = fourcc("COEF");
-constexpr std::uint32_t kTagYOcc = fourcc("YOCC");
-constexpr std::uint32_t kTagDPrev = fourcc("DPRV");
-constexpr std::uint32_t kTagJPrev = fourcc("JPRV");
-constexpr std::uint32_t kTagKPrev = fourcc("KPRV");
-constexpr std::uint32_t kTagEvals = fourcc("EVAL");
-constexpr std::uint32_t kTagErrHist = fourcc("EHST");
-constexpr std::uint32_t kTagDiis = fourcc("DIIS");
-constexpr std::uint32_t kTagRecoveryLog = fourcc("RLOG");
-constexpr std::uint32_t kTagRng = fourcc("RNGS");
 
-/// Growable byte sink with primitive appenders.  Doubles are written as
-/// their exact 8-byte representation, so a round-trip is bitwise.
+/// The field table: every ScfState member but the fingerprint (which is in
+/// the file header), with the tag of the section that carries it.
+/// save_checkpoint and load_checkpoint both walk this one list, so a new
+/// member is one line here.
+template <typename State, typename Visit>
+void for_each_field(State& s, Visit&& field) {
+  field("ITER", s.next_iteration);
+  field("LENE", s.last_energy);
+  field("LERR", s.last_error);
+  field("CONV", s.converged);
+  field("ENER", s.energy);
+  field("E1EL", s.e_one_electron);
+  field("ECOU", s.e_coulomb);
+  field("EXXC", s.e_exact_exchange);
+  field("EXCF", s.e_xc);
+  field("DENS", s.density);
+  field("FOCK", s.fock);
+  field("COEF", s.coefficients);
+  field("EVAL", s.orbital_energies);
+  field("RUNG", s.ladder_rung);
+  field("DAMP", s.damping);
+  field("DDIA", s.direct_diag);
+  field("FREB", s.full_rebuild);
+  field("COOL", s.cooldown_until);
+  field("RISE", s.rise_streak);
+  field("EHST", s.err_hist);
+  field("YOCC", s.prev_y_occ);
+  field("DPRV", s.d_prev);
+  field("JPRV", s.j_prev);
+  field("KPRV", s.k_prev);
+  field("RLOG", s.recovery_log);
+  field("GSTG", s.governor_ladder_stage);
+  field("GF64", s.fp64_latched);
+  field("GEXF", s.force_exact);
+  field("DIIF", s.diis_focks);
+  field("DIIE", s.diis_errors);
+}
+
+template <typename T>
+concept Scalar = std::is_arithmetic_v<T> || std::is_enum_v<T>;
+
+/// Growable byte sink.  Scalars (doubles included) are written as their
+/// exact bytes, so a round-trip is bitwise; lists carry a u64 count.
 struct ByteSink {
   std::vector<unsigned char> bytes;
 
@@ -48,98 +76,96 @@ struct ByteSink {
     const auto* b = static_cast<const unsigned char*>(p);
     bytes.insert(bytes.end(), b, b + n);
   }
-  void u8(std::uint8_t v) { raw(&v, 1); }
-  void i32(std::int32_t v) { raw(&v, sizeof v); }
-  void u32(std::uint32_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void f64(double v) { raw(&v, sizeof v); }
-  void matrix(const MatrixD& m) {
-    u64(m.rows());
-    u64(m.cols());
+  template <Scalar T>
+  void put(T v) {
+    raw(&v, sizeof v);
+  }
+  void put(const MatrixD& m) {
+    put<std::uint64_t>(m.rows());
+    put<std::uint64_t>(m.cols());
     raw(m.data(), m.size() * sizeof(double));
   }
-  void vec(const VectorD& v) {
-    u64(v.size());
-    raw(v.data(), v.size() * sizeof(double));
+  void put(const std::string& str) {
+    put<std::uint64_t>(str.size());
+    raw(str.data(), str.size());
+  }
+  void put(const RecoveryEvent& e) {
+    put(e.iteration);
+    put(e.fault);
+    put(e.action);
+    put(e.detail);
+  }
+  template <typename T>
+  void put(const std::vector<T>& list) {
+    put<std::uint64_t>(list.size());
+    for (const T& item : list) put(item);
   }
 };
 
-/// Bounds-checked cursor over a section payload.  Throws the corrupt-
-/// checkpoint InputError on any overrun — truncated sections are corruption,
-/// not defaults.
+[[noreturn]] void throw_corrupt(const std::string& what) {
+  throw InputError(FaultKind::kCheckpointCorrupt, "checkpoint: " + what);
+}
+
+/// Bounds-checked cursor over a section payload, the inverse of ByteSink.
+/// Throws the corrupt-checkpoint InputError on any overrun — truncated
+/// sections are corruption, not defaults — and checks every size field
+/// against the bytes that remain before it allocates.
 struct ByteSource {
   const unsigned char* p = nullptr;
   std::size_t n = 0;
   std::size_t off = 0;
 
+  [[nodiscard]] std::size_t left() const { return n - off; }
   void need(std::size_t k) const {
-    if (off + k > n) {
-      throw InputError(FaultKind::kCheckpointCorrupt,
-                       "checkpoint: section payload truncated");
-    }
+    if (k > left()) throw_corrupt("section payload truncated");
   }
   void raw(void* out, std::size_t k) {
     need(k);
     std::memcpy(out, p + off, k);
     off += k;
   }
-  std::uint8_t u8() {
-    std::uint8_t v;
-    raw(&v, 1);
-    return v;
-  }
-  std::int32_t i32() {
-    std::int32_t v;
+  template <Scalar T>
+  void get(T& v) {
     raw(&v, sizeof v);
-    return v;
   }
-  std::uint32_t u32() {
-    std::uint32_t v;
-    raw(&v, sizeof v);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    raw(&v, sizeof v);
-    return v;
-  }
-  double f64() {
-    double v;
-    raw(&v, sizeof v);
-    return v;
-  }
-  MatrixD matrix() {
-    const std::uint64_t r = u64();
-    const std::uint64_t c = u64();
-    if (r > (1u << 20) || c > (1u << 20)) {
-      throw InputError(FaultKind::kCheckpointCorrupt,
-                       "checkpoint: implausible matrix dimensions "
-                       "(corrupt size field)");
+  void get(MatrixD& m) {
+    std::uint64_t r = 0;
+    std::uint64_t c = 0;
+    get(r);
+    get(c);
+    // Overflow-safe r * c * sizeof(double) <= left().
+    if (r > left() || c > left() ||
+        (r != 0 && c > left() / sizeof(double) / r)) {
+      throw_corrupt("matrix dimensions exceed the section payload "
+                    "(corrupt size field)");
     }
-    MatrixD m(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+    m.resize(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
     raw(m.data(), m.size() * sizeof(double));
-    return m;
   }
-  VectorD vec() {
-    const std::uint64_t k = u64();
-    if (k > (1u << 28)) {
-      throw InputError(FaultKind::kCheckpointCorrupt,
-                       "checkpoint: implausible vector length "
-                       "(corrupt size field)");
-    }
-    VectorD v(static_cast<std::size_t>(k));
-    raw(v.data(), v.size() * sizeof(double));
-    return v;
+  void get(std::string& str) {
+    std::uint64_t len = 0;
+    get(len);
+    need(static_cast<std::size_t>(len));
+    str.assign(reinterpret_cast<const char*>(p + off),
+               static_cast<std::size_t>(len));
+    off += static_cast<std::size_t>(len);
+  }
+  void get(RecoveryEvent& e) {
+    get(e.iteration);
+    get(e.fault);
+    get(e.action);
+    get(e.detail);
+  }
+  template <typename T>
+  void get(std::vector<T>& list) {
+    std::uint64_t count = 0;
+    get(count);
+    // Items are read (and checked) one at a time and none encodes to zero
+    // bytes, so a false count runs out of payload before it allocates.
+    list.clear();
+    for (std::uint64_t i = 0; i < count; ++i) get(list.emplace_back());
   }
 };
-
-void append_section(ByteSink& file, std::uint32_t tag,
-                    const std::vector<unsigned char>& payload) {
-  file.u32(tag);
-  file.u64(payload.size());
-  file.u32(crc32(payload.data(), payload.size()));
-  file.raw(payload.data(), payload.size());
-}
 
 std::uint32_t crc_table_entry(std::uint32_t i) noexcept {
   std::uint32_t c = i;
@@ -164,82 +190,25 @@ std::uint32_t crc32(const void* data, std::size_t n,
   return c ^ 0xFFFFFFFFu;
 }
 
-Status save_checkpoint(const std::string& path,
-                       const ScfCheckpointState& state) {
+Status save_checkpoint(const std::string& path, const ScfState& state) {
   // --- serialize every section into one buffer ---------------------------
+  ByteSink sections;
+  std::uint32_t nsections = 0;
+  for_each_field(state, [&](const char* tag, const auto& member) {
+    ByteSink payload;
+    payload.put(member);
+    sections.put(fourcc(tag));
+    sections.put<std::uint64_t>(payload.bytes.size());
+    sections.put(crc32(payload.bytes.data(), payload.bytes.size()));
+    sections.raw(payload.bytes.data(), payload.bytes.size());
+    ++nsections;
+  });
   ByteSink file;
   file.raw(kMagic, sizeof kMagic);
-  file.u32(kFormatVersion);
-  file.u64(state.fingerprint);
-
-  std::vector<std::pair<std::uint32_t, std::vector<unsigned char>>> sections;
-  auto add_section = [&sections](std::uint32_t tag, auto&& fill) {
-    ByteSink s;
-    fill(s);
-    sections.emplace_back(tag, std::move(s.bytes));
-  };
-
-  add_section(kTagMeta, [&](ByteSink& s) {
-    s.i32(state.next_iteration);
-    s.u8(state.force_exact);
-    s.u8(state.converged);
-    s.i32(state.ladder_rung);
-    s.u8(state.damping);
-    s.u8(state.fp64_latched);
-    s.u8(state.direct_diag);
-    s.u8(state.full_rebuild);
-    s.i32(state.cooldown_until);
-    s.i32(state.rise_streak);
-    s.f64(state.last_energy);
-    s.f64(state.last_error);
-    s.f64(state.energy);
-    s.f64(state.e_nuclear);
-    s.f64(state.e_one_electron);
-    s.f64(state.e_coulomb);
-    s.f64(state.e_exact_exchange);
-    s.f64(state.e_xc);
-    s.i32(state.governor_ladder_stage);
-  });
-  const std::pair<std::uint32_t, const MatrixD*> mats[] = {
-      {kTagDensity, &state.density},  {kTagFock, &state.fock},
-      {kTagCoef, &state.coefficients}, {kTagYOcc, &state.prev_y_occ},
-      {kTagDPrev, &state.d_prev},     {kTagJPrev, &state.j_prev},
-      {kTagKPrev, &state.k_prev},
-  };
-  for (const auto& [tag, m] : mats) {
-    add_section(tag, [&](ByteSink& s) { s.matrix(*m); });
-  }
-  add_section(kTagEvals,
-              [&](ByteSink& s) { s.vec(state.orbital_energies); });
-  add_section(kTagErrHist, [&](ByteSink& s) { s.vec(state.err_hist); });
-  add_section(kTagDiis, [&](ByteSink& s) {
-    const std::size_t nv =
-        std::min(state.diis_focks.size(), state.diis_errors.size());
-    s.u64(nv);
-    for (std::size_t i = 0; i < nv; ++i) {
-      s.matrix(state.diis_focks[i]);
-      s.matrix(state.diis_errors[i]);
-    }
-  });
-  add_section(kTagRecoveryLog, [&](ByteSink& s) {
-    s.u64(state.recovery_log.size());
-    for (const RecoveryEvent& e : state.recovery_log) {
-      s.i32(e.iteration);
-      s.u32(static_cast<std::uint32_t>(e.fault));
-      s.u32(static_cast<std::uint32_t>(e.action));
-      s.u64(e.detail.size());
-      s.raw(e.detail.data(), e.detail.size());
-    }
-  });
-  add_section(kTagRng, [&](ByteSink& s) {
-    s.u64(state.rng_state.size());
-    s.raw(state.rng_state.data(), state.rng_state.size());
-  });
-
-  file.u32(static_cast<std::uint32_t>(sections.size()));
-  for (const auto& [tag, payload] : sections) {
-    append_section(file, tag, payload);
-  }
+  file.put(kFormatVersion);
+  file.put(state.fingerprint);
+  file.put(nsections);
+  file.raw(sections.bytes.data(), sections.bytes.size());
 
   // --- atomic write: temp + fsync + rename + fsync(dir) ------------------
   // The staging name is unique per WRITE, not just per process: concurrent
@@ -290,16 +259,16 @@ Status save_checkpoint(const std::string& path,
   return Status::ok();
 }
 
-ScfCheckpointState load_checkpoint(const std::string& path,
-                                   std::uint64_t expected_fingerprint) {
+ScfState load_checkpoint(const std::string& path,
+                         std::uint64_t expected_fingerprint) {
   char msg[512];
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     std::snprintf(msg, sizeof msg,
-                  "checkpoint: cannot open '%s' (does the file exist and is "
-                  "it readable?)",
+                  "cannot open '%s' (does the file exist and is it "
+                  "readable?)",
                   path.c_str());
-    throw InputError(FaultKind::kCheckpointCorrupt, msg);
+    throw_corrupt(msg);
   }
   std::vector<unsigned char> bytes;
   std::fseek(f, 0, SEEK_END);
@@ -315,31 +284,30 @@ ScfCheckpointState load_checkpoint(const std::string& path,
 
   ByteSource src{bytes.data(), bytes.size(), 0};
   char magic[8];
-  try {
-    src.raw(magic, sizeof magic);
-  } catch (const InputError&) {
+  if (src.left() < sizeof magic) {
     std::snprintf(msg, sizeof msg,
-                  "checkpoint: '%s' is too short to be a checkpoint file",
-                  path.c_str());
-    throw InputError(FaultKind::kCheckpointCorrupt, msg);
+                  "'%s' is too short to be a checkpoint file", path.c_str());
+    throw_corrupt(msg);
   }
+  src.raw(magic, sizeof magic);
   if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
     std::snprintf(msg, sizeof msg,
-                  "checkpoint: '%s' has a bad magic header (not a mako "
-                  "checkpoint, or the header bytes were corrupted)",
+                  "'%s' has a bad magic header (not a mako checkpoint, or "
+                  "the header bytes were corrupted)",
                   path.c_str());
-    throw InputError(FaultKind::kCheckpointCorrupt, msg);
+    throw_corrupt(msg);
   }
-  const std::uint32_t version = src.u32();
+  std::uint32_t version = 0;
+  src.get(version);
   if (version != kFormatVersion) {
     std::snprintf(msg, sizeof msg,
-                  "checkpoint: '%s' has format version %u; this build reads "
-                  "version %u only",
+                  "'%s' has format version %u; this build reads version %u "
+                  "only",
                   path.c_str(), version, kFormatVersion);
-    throw InputError(FaultKind::kCheckpointCorrupt, msg);
+    throw_corrupt(msg);
   }
-  ScfCheckpointState state;
-  state.fingerprint = src.u64();
+  ScfState state;
+  src.get(state.fingerprint);
   if (expected_fingerprint != 0 &&
       state.fingerprint != expected_fingerprint) {
     std::snprintf(
@@ -353,120 +321,48 @@ ScfCheckpointState load_checkpoint(const std::string& path,
     throw InputError(FaultKind::kCheckpointMismatch, msg);
   }
 
-  const std::uint32_t nsections = src.u32();
-  std::map<std::uint32_t, std::pair<std::size_t, std::size_t>> sections;
+  // Index every section, validating all CRCs before any is decoded.
+  std::uint32_t nsections = 0;
+  src.get(nsections);
+  std::map<std::uint32_t, ByteSource> sections;
   for (std::uint32_t i = 0; i < nsections; ++i) {
-    const std::uint32_t tag = src.u32();
-    const std::uint64_t len = src.u64();
-    const std::uint32_t crc = src.u32();
+    std::uint32_t tag = 0;
+    std::uint64_t len = 0;
+    std::uint32_t crc = 0;
+    src.get(tag);
+    src.get(len);
+    src.get(crc);
     src.need(static_cast<std::size_t>(len));
-    const std::size_t off = src.off;
-    if (crc32(src.p + off, static_cast<std::size_t>(len)) != crc) {
+    const ByteSource section{src.p + src.off, static_cast<std::size_t>(len),
+                             0};
+    if (crc32(section.p, section.n) != crc) {
       std::snprintf(msg, sizeof msg,
-                    "checkpoint: '%s' section '%c%c%c%c' failed its CRC32 "
-                    "check — the file is corrupt; delete it and restart "
-                    "from scratch",
-                    path.c_str(), static_cast<char>(tag & 0xFF),
-                    static_cast<char>((tag >> 8) & 0xFF),
-                    static_cast<char>((tag >> 16) & 0xFF),
-                    static_cast<char>((tag >> 24) & 0xFF));
-      throw InputError(FaultKind::kCheckpointCorrupt, msg);
+                    "'%s' section '%.4s' failed its CRC32 check — the file "
+                    "is corrupt; delete it and restart from scratch",
+                    path.c_str(), reinterpret_cast<const char*>(&tag));
+      throw_corrupt(msg);
     }
-    sections[tag] = {off, static_cast<std::size_t>(len)};
-    src.off += static_cast<std::size_t>(len);
+    sections[tag] = section;
+    src.off += section.n;
   }
 
-  auto open_section = [&](std::uint32_t tag) -> ByteSource {
-    auto it = sections.find(tag);
+  for_each_field(state, [&](const char* tag, auto& member) {
+    auto it = sections.find(fourcc(tag));
     if (it == sections.end()) {
       std::snprintf(msg, sizeof msg,
-                    "checkpoint: '%s' is missing a required section "
-                    "(truncated or corrupt)",
-                    path.c_str());
-      throw InputError(FaultKind::kCheckpointCorrupt, msg);
+                    "'%s' is missing section '%s' (truncated or corrupt)",
+                    path.c_str(), tag);
+      throw_corrupt(msg);
     }
-    return ByteSource{bytes.data() + it->second.first, it->second.second, 0};
-  };
-
-  {
-    ByteSource s = open_section(kTagMeta);
-    state.next_iteration = s.i32();
-    state.force_exact = s.u8();
-    state.converged = s.u8();
-    state.ladder_rung = s.i32();
-    state.damping = s.u8();
-    state.fp64_latched = s.u8();
-    state.direct_diag = s.u8();
-    state.full_rebuild = s.u8();
-    state.cooldown_until = s.i32();
-    state.rise_streak = s.i32();
-    state.last_energy = s.f64();
-    state.last_error = s.f64();
-    state.energy = s.f64();
-    state.e_nuclear = s.f64();
-    state.e_one_electron = s.f64();
-    state.e_coulomb = s.f64();
-    state.e_exact_exchange = s.f64();
-    state.e_xc = s.f64();
-    state.governor_ladder_stage = s.i32();
-  }
-  const std::pair<std::uint32_t, MatrixD*> mats[] = {
-      {kTagDensity, &state.density},  {kTagFock, &state.fock},
-      {kTagCoef, &state.coefficients}, {kTagYOcc, &state.prev_y_occ},
-      {kTagDPrev, &state.d_prev},     {kTagJPrev, &state.j_prev},
-      {kTagKPrev, &state.k_prev},
-  };
-  for (const auto& [tag, m] : mats) {
-    ByteSource s = open_section(tag);
-    *m = s.matrix();
-  }
-  {
-    ByteSource s = open_section(kTagEvals);
-    state.orbital_energies = s.vec();
-  }
-  {
-    ByteSource s = open_section(kTagErrHist);
-    state.err_hist = s.vec();
-  }
-  {
-    ByteSource s = open_section(kTagDiis);
-    const std::uint64_t nv = s.u64();
-    if (nv > 1024) {
-      throw InputError(FaultKind::kCheckpointCorrupt,
-                       "checkpoint: implausible DIIS history length");
+    ByteSource& section = it->second;
+    section.get(member);
+    if (section.left() != 0) {
+      std::snprintf(msg, sizeof msg,
+                    "'%s' section '%s' has %zu unread trailing bytes",
+                    path.c_str(), tag, section.left());
+      throw_corrupt(msg);
     }
-    for (std::uint64_t i = 0; i < nv; ++i) {
-      state.diis_focks.push_back(s.matrix());
-      state.diis_errors.push_back(s.matrix());
-    }
-  }
-  {
-    ByteSource s = open_section(kTagRecoveryLog);
-    const std::uint64_t nev = s.u64();
-    if (nev > (1u << 20)) {
-      throw InputError(FaultKind::kCheckpointCorrupt,
-                       "checkpoint: implausible recovery-log length");
-    }
-    for (std::uint64_t i = 0; i < nev; ++i) {
-      RecoveryEvent e;
-      e.iteration = s.i32();
-      e.fault = static_cast<FaultKind>(s.u32());
-      e.action = static_cast<RecoveryAction>(s.u32());
-      const std::uint64_t len = s.u64();
-      s.need(static_cast<std::size_t>(len));
-      e.detail.assign(reinterpret_cast<const char*>(s.p + s.off),
-                      static_cast<std::size_t>(len));
-      s.off += static_cast<std::size_t>(len);
-      state.recovery_log.push_back(std::move(e));
-    }
-  }
-  {
-    ByteSource s = open_section(kTagRng);
-    const std::uint64_t len = s.u64();
-    s.need(static_cast<std::size_t>(len));
-    state.rng_state.assign(reinterpret_cast<const char*>(s.p + s.off),
-                           static_cast<std::size_t>(len));
-  }
+  });
   return state;
 }
 

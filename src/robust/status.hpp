@@ -140,6 +140,8 @@ struct RecoveryEvent {
   FaultKind fault = FaultKind::kNone;
   RecoveryAction action = RecoveryAction::kNone;
   std::string detail;
+
+  bool operator==(const RecoveryEvent&) const = default;
 };
 
 /// Input-validation failure carrying the fault taxonomy.  Derives from

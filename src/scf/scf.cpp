@@ -39,19 +39,31 @@ MatrixD build_density(const MatrixD& c, std::size_t nocc) {
   return d;
 }
 
-/// Runtime state of the staged recovery ladder (see ResilienceOptions).
-/// Rung 3 (FP64 latch) lives in the PrecisionGovernor, not here: the ladder
-/// *requests* precision changes through the governor rather than owning an
-/// out-of-band latch.
-struct LadderState {
-  int rung = 0;
-  bool damping = false;       ///< rung 2 active
-  bool direct_diag = false;   ///< rung 4 latched
-  bool full_rebuild = false;  ///< rung 5 latched
-  /// Soft detectors stay quiet until this iteration, giving each escalation
-  /// a window to take effect before the next one is considered.
-  int cooldown_until = 0;
-};
+// Health sentinels and the staged recovery ladder.  The ladder escalates
+// strictly in order; reaching a rung applies every rung below it first, and
+// rungs 3-5 latch for the rest of the run:
+//   1. DIIS reset            (discard a possibly-poisoned subspace)
+//   2. damping + level shift (static density mixing, virtual level shift)
+//   3. precision escalation  (force FP64 through the governor)
+//   4. diagonalizer fallback (kSubspace -> kDirect)
+//   5. full Fock rebuilds    (incremental deltas latched off)
+// Soft faults (divergence / oscillation / stagnation) climb one rung per
+// event; hard numeric faults (non-finite or asymmetric J/K) jump straight
+// to rung 3 and retry the build within the same iteration; diagonalizer
+// faults jump to rung 4.
+constexpr int kTopRung = 5;
+constexpr double kSymmetryTol = 1e-10;   ///< relative J/K symmetry tolerance
+constexpr double kOrthoTol = 1e-8;       ///< eigenvector orthonormality
+constexpr int kDivergenceWindow = 3;     ///< consecutive rises => divergence
+constexpr double kDivergenceTol = 1e-7;  ///< energy rises below this ignored
+constexpr std::size_t kStagnationWindow = 6;  ///< iterations to progress in
+/// "No progress" means err_now > factor * err_(now - window).
+constexpr double kStagnationFactor = 0.9;
+constexpr int kMaxRetries = 3;           ///< hard-fault rebuilds/iteration
+constexpr double kDampingFactor = 0.3;   ///< rung-2 static density mixing
+constexpr double kLevelShift = 0.25;     ///< rung-2 virtual level shift (Ha)
+constexpr std::size_t kSubspaceMaxIter = 300;  ///< kSubspace budget
+constexpr double kSubspaceTol = 1e-11;         ///< kSubspace residual
 
 inline void fnv1a(std::uint64_t& h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -85,12 +97,6 @@ std::uint64_t scf_fingerprint(const Molecule& mol, const BasisSet& basis,
       options.use_diis ? 1 : 0,
       options.enable_quantization ? 1 : 0,
       options.fixed_iterations,
-      options.robust.sentinels ? 1 : 0,
-      options.robust.recovery ? 1 : 0,
-      options.robust.divergence_window,
-      options.robust.stagnation_window,
-      options.robust.max_retries_per_iteration,
-      static_cast<std::int32_t>(options.subspace_max_iter),
       // Precision governance: mode, kernel format, ladder, and per-L cap all
       // shape the trajectory — a checkpoint written under one --precision
       // must be refused under another (kCheckpointMismatch), never resumed
@@ -109,10 +115,7 @@ std::uint64_t scf_fingerprint(const Molecule& mol, const BasisSet& basis,
   const double doubles[] = {
       options.energy_convergence,    options.diis_convergence,
       options.lindep_threshold,      options.prune_threshold,
-      options.subspace_tol,          options.robust.divergence_tol,
-      options.robust.stagnation_factor, options.robust.damping_factor,
-      options.robust.level_shift,    options.robust.symmetry_tol,
-      options.robust.ortho_tol,      options.precision.start_fp64_threshold,
+      options.precision.start_fp64_threshold,
       options.precision.end_fp64_threshold,
       options.precision.prune_threshold,
       options.precision.exact_switch_error,
@@ -154,6 +157,599 @@ void validate_inputs(const Molecule& mol, const BasisSet& basis,
   *nocc_out = nocc;
 }
 
+/// What a step tells the iteration loop.
+enum class Step { kContinue, kConverged, kCancelled, kAbort };
+
+/// What the steps share: the run's inputs and fixed matrices, the objects
+/// that own live state outside ScfState (Fock builder, DIIS, governor), the
+/// result being assembled, and the checkpoint snapshot.
+struct Run {
+  Run(const Molecule& mol, const BasisSet& basis_in,
+      const ScfOptions& options_in, const ExecutionContext& exec_in,
+      std::size_t nocc_in)
+      : basis(basis_in),
+        options(options_in),
+        exec(exec_in),
+        be(&exec.backend()),
+        comm(exec.comm()),
+        cancel(exec.cancel()),
+        nocc(nocc_in),
+        niter(options.fixed_iterations > 0 ? options.fixed_iterations
+                                           : options.max_iterations),
+        e_nuclear(mol.nuclear_repulsion()),
+        cx(options.xc.exact_exchange()),
+        s(overlap_matrix(basis)),
+        x(inverse_sqrt(s, options.lindep_threshold)),
+        hcore(core_hamiltonian(basis, mol)),
+        grid(options.xc.is_hf_only()
+                 ? nullptr
+                 : std::make_unique<MolecularGrid>(mol, options.grid)),
+        fock_builder(basis, options.fock, &exec),
+        // The run's precision authority: every per-iteration plan —
+        // thresholds, kernel format, allow_quantized verdict, per-L cap —
+        // comes from here.  Capability degradation (quantization requested
+        // on a backend without a reduced-precision datapath) is counted and
+        // carries a reason; the governor then plans pure FP64 rather than
+        // silently running quantized math at full precision.
+        governor(exec.make_governor(options.precision,
+                                    options.enable_quantization,
+                                    options.prune_threshold)) {}
+
+  const BasisSet& basis;
+  const ScfOptions& options;
+  const ExecutionContext& exec;
+  const GemmBackend* const be;
+  // Rank communicator of the run ("local" on one rank).  The driver itself
+  // stays replicated — DIIS, diagonalization, and the convergence test run
+  // identically on every rank — while the Fock build is owner-computes with
+  // allreduced partials (fock.cpp) and the initial guess is broadcast.
+  Communicator& comm;
+  CancelToken& cancel;
+  const std::size_t nocc;
+  const int niter;
+  const double e_nuclear;
+  const double cx;  ///< exact-exchange fraction of the functional
+  const MatrixD s, x, hcore;  ///< overlap, orthogonalizer, core Hamiltonian
+  const std::unique_ptr<MolecularGrid> grid;  ///< null for Hartree-Fock
+  FockBuilder fock_builder;
+  Diis diis;
+  PrecisionGovernor governor;
+  ScfResult result;
+  ScfState last;           ///< snapshot of the last completed iteration
+  bool have_last = false;
+  int saved_next = -1;     ///< next_iteration of the snapshot on disk
+};
+
+/// One iteration's work in progress.  The best-so-far result in ScfState
+/// changes only once the diagonalization is done, so a cancellation before
+/// then returns a result whose terms all describe the previous iteration.
+struct Iteration {
+  explicit Iteration(int index_in)
+      : index(index_in), span(obs::TraceCat::kScf, "scf.iteration") {
+    if (span.active()) {
+      char args[32];
+      std::snprintf(args, sizeof args, "\"iter\":%d", index);
+      span.set_args(args);
+    }
+    MAKO_METRIC_COUNT("scf.iterations", 1);
+  }
+
+  const int index;
+  Timer timer;
+  obs::TraceSpan span;
+  ScfIterationRecord record;
+  IterationPolicy policy;  ///< precision plan of the last Fock-build attempt
+  FockStats fs;
+  MatrixD j, k, fock;
+  XcResult xres;
+  double e_one = 0.0, e_coul = 0.0, e_xx = 0.0, energy = 0.0;
+  EigenResult es;
+};
+
+/// Appends the iteration's log record and its observability twin.
+void log_iteration(Run& run, const ScfState& st, const Iteration& it) {
+  const ScfIterationRecord& record = it.record;
+  run.result.iteration_log.push_back(record);
+  obs::IterationTelemetry t;
+  t.iteration = it.index;
+  t.energy = record.energy;
+  t.error = record.error;
+  t.seconds = record.seconds;
+  t.precision = it.policy.allow_quantized
+                    ? to_string(it.policy.quant_precision)
+                    : "fp64";
+  t.reason = to_string(it.policy.reason);
+  t.quantized_allowed = it.policy.allow_quantized;
+  t.fp64_threshold = it.policy.fp64_threshold;
+  t.prune_threshold = it.policy.prune_threshold;
+  t.quartets_fp64 = it.fs.quartets_fp64;
+  t.quartets_quantized = it.fs.quartets_quantized;
+  t.quartets_pruned = it.fs.quartets_pruned;
+  t.quartets_fp64_high_l = it.fs.quartets_fp64_high_l;
+  t.eri_seconds = it.fs.eri_seconds;
+  t.digest_seconds = it.fs.digest_seconds;
+  t.route_seconds = it.fs.route_seconds;
+  t.ladder_rung = st.ladder_rung;
+  t.retries = record.retries;
+  t.domain_faults = record.domain_faults;
+  t.comm_retries = it.fs.comm_retries;
+  t.comm_allreduce_s = it.fs.comm_seconds;
+  t.comm_bytes = it.fs.comm_bytes;
+  run.result.telemetry.push_back(t);
+  MAKO_METRIC_OBSERVE("scf.iteration_s", record.seconds);
+}
+
+/// Climbs the recovery ladder up to rung `target`, recording each rung.
+void escalate(Run& run, ScfState& st, Iteration& it, FaultKind fault,
+              int target, const std::string& detail) {
+  // Health-sentinel feedback to the precision authority: with the TF32
+  // ladder active, divergence/oscillation advances the format step early
+  // (noisy kernels are the first suspect); otherwise a no-op.
+  run.governor.observe_fault(fault);
+  target = std::min(target, kTopRung);
+  while (st.ladder_rung < target) {
+    ++st.ladder_rung;
+    RecoveryAction action = RecoveryAction::kNone;
+    switch (st.ladder_rung) {
+      case 1:
+        run.diis.reset();
+        action = RecoveryAction::kDiisReset;
+        break;
+      case 2:
+        st.damping = 1;
+        action = RecoveryAction::kDamping;
+        break;
+      case 3:
+        // Rung 3 requests FP64 through the governor — the SCF loop never
+        // mutates precision state directly.
+        run.governor.latch_fp64();
+        action = RecoveryAction::kPrecisionEscalation;
+        break;
+      case 4:
+        st.direct_diag = 1;
+        action = RecoveryAction::kDiagonalizerFallback;
+        break;
+      case 5:
+        st.full_rebuild = 1;
+        action = RecoveryAction::kFockRebuild;
+        break;
+      default:
+        break;
+    }
+    it.record.recovery_mask |= recovery_bit(action);
+    st.recovery_log.push_back({it.index, fault, action, detail});
+    log_warn("scf iter %d: recovery rung %d (%s) after %s fault", it.index,
+             st.ladder_rung, to_string(action), to_string(fault));
+  }
+}
+
+/// Restores the checkpoint, or builds the core-Hamiltonian guess and
+/// broadcasts it to every rank.
+Step start(Run& run, ScfState& st) {
+  const std::string& restore_path = run.options.durability.restore_path;
+  if (!restore_path.empty()) {
+    // Throws InputError (kCheckpointCorrupt / kCheckpointMismatch) on a bad
+    // or foreign file — a restore never silently restarts from scratch.
+    st = load_checkpoint(restore_path, st.fingerprint);
+    run.result.resumed_from = st.next_iteration;
+    run.governor.restore(GovernorState{st.governor_ladder_stage,
+                                       st.fp64_latched, st.force_exact});
+    run.diis.import_state(st.diis_focks, st.diis_errors, st.last_error);
+    // The Diis owns the live history; ScfState only carries snapshots.
+    st.diis_focks.clear();
+    st.diis_errors.clear();
+    MAKO_METRIC_COUNT("scf.restores", 1);
+    log_info("run_scf: restored checkpoint '%s' at iteration %d (E=%.10f)",
+             restore_path.c_str(), st.next_iteration, st.last_energy);
+    // A run that had already converged has nothing left to iterate.
+    return st.converged != 0 ? Step::kConverged : Step::kContinue;
+  }
+  const GemmBackend* const be = run.be;
+  MatrixD f0 =
+      matmul(matmul(run.x, Trans::kYes, run.hcore, Trans::kNo, be), run.x, be);
+  EigenResult es = eigh(f0);
+  st.coefficients = matmul(run.x, es.eigenvectors, be);
+  st.orbital_energies = es.eigenvalues;
+  st.density = build_density(st.coefficients, run.nocc);
+  if (run.comm.size() > 1) {
+    // Every rank iterates from rank 0's guess.  With in-process ranks the
+    // canonical buffer IS the payload, so a successful broadcast leaves it
+    // unchanged while exercising verified delivery and charging the
+    // modeled time; an exhausted retry budget means the ranks never agreed
+    // on a starting density, which is unrecoverable for this run.
+    run.result.comm_seconds += run.comm.broadcast(st.density, 0);
+    const Status bst = run.comm.last_status();
+    if (!bst.is_ok()) {
+      run.result.status = bst;
+      st.recovery_log.push_back(
+          {0, bst.kind(), RecoveryAction::kAbort, bst.message()});
+      log_error("run_scf: initial-guess broadcast failed: %s",
+                bst.message().c_str());
+      return Step::kAbort;
+    }
+  }
+  return Step::kContinue;
+}
+
+/// J and K from the current density (incrementally from the density change
+/// when enabled), audited.  A hard fault — a failed allreduce, non-finite or
+/// asymmetric J/K — escalates to rung 3 (or the next rung up) and rebuilds
+/// within the iteration, up to kMaxRetries times.
+Step build_jk(Run& run, ScfState& st, Iteration& it) {
+  const ScfOptions& options = run.options;
+  const int iter = it.index;
+  bool force_full = st.full_rebuild != 0;
+  for (int attempt = 0;; ++attempt) {
+    // Precision plan for this attempt: the convergence-aware schedule, the
+    // capability gate, the rung-3 FP64 latch, and the exact-final polish.
+    it.policy =
+        run.governor.plan_for_iteration(iter, iter == 0 ? 1.0 : st.last_error);
+
+    const std::uint64_t domain_before = domain_fault_count();
+    const bool do_incremental =
+        options.incremental_fock && iter > 0 && !run.governor.exact_final() &&
+        !force_full &&
+        (iter % std::max(options.incremental_rebuild_period, 1) != 0);
+    if (do_incremental) {
+      // Two-electron response of the density change only.
+      MatrixD delta = st.density;
+      delta -= st.d_prev;
+      MatrixD dj, dk;
+      it.fs = run.fock_builder.build_jk(delta, it.policy, dj, dk);
+      if (MAKO_FAULT_POINT("scf.incremental_drift")) {
+        // Symmetric bias on the delta contribution: models accumulated
+        // incremental error that only full rebuilds (rung 5) clear.
+        const FaultSpec spec =
+            run.exec.faults().armed_spec("scf.incremental_drift");
+        dj(0, 0) += spec.magnitude;
+      }
+      it.j = st.j_prev;
+      it.j += dj;
+      it.k = st.k_prev;
+      it.k += dk;
+    } else {
+      it.fs = run.fock_builder.build_jk(st.density, it.policy, it.j, it.k);
+    }
+    it.record.domain_faults +=
+        static_cast<std::int64_t>(domain_fault_count() - domain_before);
+
+    // Cancellation trips leave J/K partial.  Bail BEFORE the audits: a
+    // half-built Fock legitimately fails the symmetry sentinel, and letting
+    // that read as a numerical fault would spuriously escalate the ladder
+    // on an otherwise healthy run.
+    if (it.fs.cancelled || run.cancel.cancelled()) return Step::kCancelled;
+
+    // Collective failure first: an exhausted allreduce retry budget leaves
+    // J/K unusable in a way no sentinel can detect — a partial J is still
+    // symmetric and finite.
+    Status status = it.fs.comm_status;
+    if (status.is_ok()) status = audit_finite(it.j, "J");
+    if (status.is_ok()) status = audit_finite(it.k, "K");
+    if (status.is_ok()) status = audit_symmetry(it.j, "J", kSymmetryTol);
+    if (status.is_ok()) status = audit_symmetry(it.k, "K", kSymmetryTol);
+    if (status.is_ok()) break;
+    it.record.fault_mask |= fault_bit(status.kind());
+    log_warn("scf iter %d: %s", iter, status.message().c_str());
+    if (attempt == kMaxRetries) {
+      run.result.status = status;
+      return Step::kAbort;
+    }
+    escalate(run, st, it, status.kind(), std::max(3, st.ladder_rung + 1),
+             status.message());
+    force_full = true;
+    ++it.record.retries;
+  }
+  st.d_prev = st.density;
+  st.j_prev = it.j;
+  st.k_prev = it.k;
+  it.record.quartets_fp64 = it.fs.quartets_fp64;
+  it.record.quartets_quantized = it.fs.quartets_quantized;
+  it.record.quartets_pruned = it.fs.quartets_pruned;
+  run.result.comm_seconds += it.fs.comm_seconds;
+  run.result.comm_bytes += it.fs.comm_bytes;
+  run.result.comm_retries += it.fs.comm_retries;
+  return Step::kContinue;
+}
+
+/// XC quadrature, F = H + J - (cx/2) K + Vxc, and the energy terms.
+Step assemble_fock(Run& run, const ScfState& st, Iteration& it) {
+  if (run.grid) {
+    MAKO_TRACE_SCOPE(obs::TraceCat::kScf, "scf.xc");
+    it.xres = integrate_xc(run.basis, *run.grid, run.options.xc, st.density,
+                           run.be, &run.cancel);
+    MAKO_METRIC_COUNT("scf.xc_builds", 1);
+    if (it.xres.cancelled) return Step::kCancelled;  // partial quadrature
+  }
+  it.fock = run.hcore;
+  it.fock += it.j;
+  if (run.cx != 0.0) {
+    MatrixD kscaled = it.k;
+    kscaled *= -0.5 * run.cx;
+    it.fock += kscaled;
+  }
+  if (run.grid) it.fock += it.xres.vxc;
+
+  it.e_one = trace_product(st.density, run.hcore);
+  it.e_coul = 0.5 * trace_product(st.density, it.j);
+  it.e_xx = -0.25 * run.cx * trace_product(st.density, it.k);
+  const double e_elec = it.e_one + it.e_coul + it.e_xx + it.xres.energy;
+  it.energy = e_elec + run.e_nuclear;
+  if (!std::isfinite(it.energy)) {
+    it.record.fault_mask |= fault_bit(FaultKind::kNonFinite);
+    run.result.status = Status::fault(FaultKind::kNonFinite,
+                                      "run_scf: total energy is non-finite");
+    return Step::kAbort;
+  }
+  return Step::kContinue;
+}
+
+/// DIIS extrapolation, the rung-2 level shift, and the diagonalization in
+/// the orthonormal basis.  A failed audit of the eigen-solution escalates to
+/// rung 4 (or the next rung up) and re-solves with the direct solver.
+Step solve(Run& run, ScfState& st, Iteration& it) {
+  const ScfOptions& options = run.options;
+  const GemmBackend* const be = run.be;
+  MatrixD f_use = it.fock;
+  if (options.use_diis) {
+    MAKO_TRACE_SCOPE(obs::TraceCat::kScf, "scf.diis");
+    const MatrixD err =
+        diis_error_matrix(it.fock, st.density, run.s, run.x, be);
+    f_use = run.diis.extrapolate(it.fock, err);
+    st.last_error = run.diis.last_error();
+  } else {
+    st.last_error = std::fabs(it.energy - st.last_energy);
+  }
+
+  MatrixD f_ortho =
+      matmul(matmul(run.x, Trans::kYes, f_use, Trans::kNo, be), run.x, be);
+  // Rung-2 level shift: F_ortho += shift * (I - Y_occ Y_occ^T) raises the
+  // virtual block, suppressing occupied/virtual mixing while the run is
+  // still far from converged.  Tapers off near convergence so final
+  // orbital energies are unshifted.
+  if (st.damping && st.prev_y_occ.rows() == f_ortho.rows() &&
+      st.last_error > 10.0 * options.diis_convergence) {
+    MatrixD p_occ =
+        matmul(st.prev_y_occ, Trans::kNo, st.prev_y_occ, Trans::kYes, be);
+    p_occ *= kLevelShift;
+    for (std::size_t i = 0; i < f_ortho.rows(); ++i) {
+      f_ortho(i, i) += kLevelShift;
+    }
+    f_ortho -= p_occ;
+  }
+
+  // Abandon before the (serial) diagonalization.
+  if (run.cancel.cancelled()) return Step::kCancelled;
+  obs::TraceSpan diag_span(obs::TraceCat::kScf, "scf.diagonalize");
+  Timer diag_timer;
+  const std::size_t nocc = run.nocc;
+  Status dst = Status::ok();
+  if (options.diagonalizer == Diagonalizer::kSubspace && !st.direct_diag) {
+    // MatMul-aligned iterative path: only the occupied block (plus a
+    // small buffer) is solved for.
+    const std::size_t nev =
+        std::min(f_ortho.rows(), nocc + std::min<std::size_t>(nocc, 6) + 2);
+    std::size_t sub_iters = kSubspaceMaxIter;
+    if (MAKO_FAULT_POINT("linalg.subspace_stall")) {
+      sub_iters = 1;  // starve the solver: models a stalled eigensolver
+    }
+    it.es = eigh_subspace(f_ortho, nev, sub_iters, kSubspaceTol);
+    if (!it.es.converged) {
+      dst = Status::fault(FaultKind::kSubspaceStall,
+                          "run_scf: subspace diagonalizer failed to converge "
+                          "within its iteration budget");
+    }
+  } else {
+    it.es = eigh(f_ortho);
+  }
+  if (dst.is_ok()) {
+    const std::size_t probe = std::min(nocc + 2, it.es.eigenvectors.cols());
+    dst = audit_eigen(it.es, "Fock diagonalization", probe, kOrthoTol);
+  }
+  if (!dst.is_ok()) {
+    it.record.fault_mask |= fault_bit(dst.kind());
+    log_warn("scf iter %d: %s", it.index, dst.message().c_str());
+    escalate(run, st, it, dst.kind(), std::max(4, st.ladder_rung + 1),
+             dst.message());
+    it.es = eigh(f_ortho);
+    ++it.record.retries;
+  }
+  diag_span.end();
+  MAKO_METRIC_OBSERVE("scf.diag_s", diag_timer.seconds());
+  // Save the occupied ortho-basis block for the next level shift.
+  if (it.es.eigenvectors.cols() >= nocc) {
+    st.prev_y_occ.resize(it.es.eigenvectors.rows(), nocc, 0.0);
+    for (std::size_t i = 0; i < it.es.eigenvectors.rows(); ++i) {
+      for (std::size_t o = 0; o < nocc; ++o) {
+        st.prev_y_occ(i, o) = it.es.eigenvectors(i, o);
+      }
+    }
+  }
+  return Step::kContinue;
+}
+
+/// New orbitals and density — rung-2 damping mixes back part of the old
+/// one — and this iteration's Fock matrix and energy terms become the
+/// best-so-far result.
+void update_density(Run& run, ScfState& st, Iteration& it) {
+  st.coefficients = matmul(run.x, it.es.eigenvectors, run.be);
+  st.orbital_energies = std::move(it.es.eigenvalues);
+  MatrixD d_new = build_density(st.coefficients, run.nocc);
+  if (st.damping) {
+    d_new *= (1.0 - kDampingFactor);
+    MatrixD d_old = st.density;
+    d_old *= kDampingFactor;
+    d_new += d_old;
+  }
+  st.density = std::move(d_new);
+  if (MAKO_FAULT_POINT("scf.density_perturb")) {
+    // Symmetric, finite perturbation of the next-iteration density: the
+    // soft sentinels (oscillation/stagnation) must catch this — no hard
+    // audit will.
+    const FaultSpec spec = run.exec.faults().armed_spec("scf.density_perturb");
+    st.density(0, 0) *= (1.0 + spec.magnitude);
+  }
+  st.fock = std::move(it.fock);
+  st.e_one_electron = it.e_one;
+  st.e_coulomb = it.e_coul;
+  st.e_exact_exchange = it.e_xx;
+  st.e_xc = it.xres.energy;
+
+  // Iteration boundary: ranks synchronize before the convergence test.
+  // DIIS and diagonalization are replicated, so the barrier only charges
+  // the modeled latency of an empty collective.
+  if (run.comm.size() > 1) run.result.comm_seconds += run.comm.barrier();
+  it.record.energy = it.energy;
+  it.record.error = st.last_error;
+  it.record.seconds = it.timer.seconds();
+}
+
+/// Divergence / oscillation / stagnation detectors.  Each event climbs one
+/// rung; the detectors then rest for a window so the rung can take effect.
+/// Off in fixed-iteration (benchmark) runs.
+void soft_sentinels(Run& run, ScfState& st, Iteration& it) {
+  if (run.options.fixed_iterations > 0) return;
+  const int iter = it.index;
+  if (iter > 0 && it.energy > st.last_energy + kDivergenceTol) {
+    ++st.rise_streak;
+  } else {
+    st.rise_streak = 0;
+  }
+  st.err_hist.push_back(st.last_error);
+  constexpr std::size_t w = kStagnationWindow;
+  if (iter < st.cooldown_until) return;
+  char detail[128];
+  if (st.rise_streak >= kDivergenceWindow) {
+    it.record.fault_mask |= fault_bit(FaultKind::kDivergence);
+    std::snprintf(detail, sizeof detail,
+                  "energy rose %d consecutive iterations (now %.10f)",
+                  st.rise_streak, it.energy);
+    escalate(run, st, it, FaultKind::kDivergence, st.ladder_rung + 1, detail);
+    st.rise_streak = 0;
+    st.cooldown_until = iter + kDivergenceWindow + 1;
+  } else if (st.err_hist.size() > w) {
+    const double err_then = st.err_hist[st.err_hist.size() - 1 - w];
+    if (st.last_error > kStagnationFactor * err_then &&
+        st.last_error > run.options.diis_convergence) {
+      // Classify: oscillation if the error bounced within the window,
+      // stagnation if it sat flat.
+      int rises = 0;
+      for (std::size_t i = st.err_hist.size() - w; i < st.err_hist.size();
+           ++i) {
+        if (st.err_hist[i] > st.err_hist[i - 1]) ++rises;
+      }
+      const FaultKind fk = (2 * rises >= static_cast<int>(w))
+                               ? FaultKind::kOscillation
+                               : FaultKind::kStagnation;
+      it.record.fault_mask |= fault_bit(fk);
+      std::snprintf(detail, sizeof detail,
+                    "DIIS error %.3e made no progress over %zu iterations "
+                    "(was %.3e)",
+                    st.last_error, w, err_then);
+      escalate(run, st, it, fk, st.ladder_rung + 1, detail);
+      st.cooldown_until = iter + static_cast<int>(w);
+    }
+  }
+}
+
+/// Writes the snapshot of the last completed iteration.
+void write_checkpoint(Run& run) {
+  const Status st = save_checkpoint(run.options.durability.checkpoint_path,
+                                    run.last);
+  if (st.is_ok()) {
+    run.saved_next = run.last.next_iteration;
+    MAKO_METRIC_COUNT("scf.checkpoints_written", 1);
+  } else {
+    // Never take down a healthy run over a failed checkpoint write.
+    log_warn("run_scf: %s", st.message().c_str());
+    MAKO_METRIC_COUNT("scf.checkpoint_write_failures", 1);
+  }
+}
+
+/// Completes the iteration: logs it, runs the convergence test, advances
+/// the cursor, and — when checkpointing — snapshots the state.
+Step commit(Run& run, ScfState& st, Iteration& it) {
+  const ScfOptions& options = run.options;
+  const int iter = it.index;
+  log_iteration(run, st, it);
+  st.energy = it.energy;
+  log_debug("scf iter %2d  E=%.10f  err=%.3e  (%lld fp64 / %lld quant / "
+            "%lld pruned)",
+            iter, it.energy, st.last_error,
+            static_cast<long long>(it.record.quartets_fp64),
+            static_cast<long long>(it.record.quartets_quantized),
+            static_cast<long long>(it.record.quartets_pruned));
+
+  if (options.fixed_iterations <= 0 && iter > 0 &&
+      std::fabs(it.energy - st.last_energy) < options.energy_convergence &&
+      st.last_error < options.diis_convergence) {
+    // Once the SCF meets its thresholds under quantized kernels, one final
+    // pure-FP64 iteration polishes the result (the endpoint of the paper's
+    // convergence-aware schedule); the governor latches it.
+    if (it.record.quartets_quantized > 0 && !run.governor.exact_final()) {
+      run.governor.request_exact_final();
+    } else {
+      st.converged = 1;
+    }
+  }
+  st.last_energy = it.energy;
+  st.next_iteration = iter + 1;
+
+  // The snapshot describes a run that is ready to start iteration iter+1
+  // (or is finished).  Written on the configured cadence and on
+  // convergence; the final write in run_scf covers every other exit path.
+  const DurabilityOptions& dur = options.durability;
+  if (!dur.checkpoint_path.empty()) {
+    run.last = st;
+    const GovernorState& gov = run.governor.state();
+    run.last.governor_ladder_stage = gov.ladder_stage;
+    run.last.fp64_latched = gov.fp64_latched;
+    run.last.force_exact = gov.exact_final;
+    double diis_error = 0.0;  // st.last_error (the driver's metric) covers it
+    run.diis.export_state(run.last.diis_focks, run.last.diis_errors,
+                          diis_error);
+    run.have_last = true;
+    const int every = std::max(dur.checkpoint_interval, 1);
+    if (st.converged || st.next_iteration % every == 0) {
+      write_checkpoint(run);
+    }
+  }
+  return st.converged ? Step::kConverged : Step::kContinue;
+}
+
+/// The one abort sequence: the fault already in result.status ends the run.
+void abort_iteration(Run& run, ScfState& st, Iteration& it) {
+  const Status& status = run.result.status;
+  it.record.recovery_mask |= recovery_bit(RecoveryAction::kAbort);
+  st.recovery_log.push_back(
+      {it.index, status.kind(), RecoveryAction::kAbort, status.message()});
+  log_error("scf iter %d: unrecoverable fault, aborting: %s", it.index,
+            status.message().c_str());
+  it.record.seconds = it.timer.seconds();
+  log_iteration(run, st, it);
+}
+
+/// Moves the final state into the result: the one place ScfResult is
+/// filled from ScfState.
+void fill_result(Run& run, ScfState& st) {
+  ScfResult& r = run.result;
+  r.converged = st.converged != 0;
+  r.iterations = static_cast<int>(r.iteration_log.size());
+  r.energy = st.energy;
+  r.e_nuclear = run.e_nuclear;
+  r.e_one_electron = st.e_one_electron;
+  r.e_coulomb = st.e_coulomb;
+  r.e_exact_exchange = st.e_exact_exchange;
+  r.e_xc = st.e_xc;
+  r.orbital_energies = std::move(st.orbital_energies);
+  r.density = std::move(st.density);
+  r.coefficients = std::move(st.coefficients);
+  r.fock = std::move(st.fock);
+  r.recovery_log = std::move(st.recovery_log);
+  r.fp64_latched = run.governor.fp64_latched();
+  r.diagonalizer_fallback = st.direct_diag != 0;
+  r.full_rebuild_latched = st.full_rebuild != 0;
+}
+
 }  // namespace
 
 double ScfResult::avg_iteration_seconds() const {
@@ -176,678 +772,60 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
   MAKO_METRIC_COUNT("scf.runs", 1);
 
   // Execution environment: the engine-owned context, or the process default.
-  const ExecutionContext& exec = ctx ? *ctx : ExecutionContext::process();
-  const GemmBackend* const be = &exec.backend();
-  // Rank communicator of the run ("local" on one rank).  The driver itself
-  // stays replicated — DIIS, diagonalization, and the convergence test run
-  // identically on every rank — while the Fock build is owner-computes with
-  // allreduced partials (fock.cpp) and the initial guess is broadcast below.
-  Communicator& comm = exec.comm();
-
-  ScfResult result;
-  result.e_nuclear = mol.nuclear_repulsion();
-
-  // One-electron pieces and the orthogonalizer.
-  const MatrixD s = overlap_matrix(basis);
-  const MatrixD x = inverse_sqrt(s, options.lindep_threshold);
-  const MatrixD hcore = core_hamiltonian(basis, mol);
-
-  // XC machinery.
-  const XcFunctional& xc = options.xc;
-  const double cx = xc.exact_exchange();
-  std::unique_ptr<MolecularGrid> grid;
-  if (!xc.is_hf_only()) {
-    grid = std::make_unique<MolecularGrid>(mol, options.grid);
-  }
-
-  // Fock builder over the chosen ERI engine.
-  FockBuilder fock_builder(basis, options.fock, &exec);
-  Diis diis;
-
-  // The run's precision authority: every per-iteration plan — thresholds,
-  // kernel format, allow_quantized verdict, per-L cap — comes from here.
-  // Capability degradation (quantization requested on a backend without a
-  // reduced-precision datapath) is counted and carries a reason; the
-  // governor then plans pure FP64 rather than silently running quantized
-  // math at full precision with loosened prune thresholds.
-  PrecisionGovernor governor = exec.make_governor(
-      options.precision, options.enable_quantization, options.prune_threshold);
-
-  const int niter = (options.fixed_iterations > 0) ? options.fixed_iterations
-                                                   : options.max_iterations;
-  const ResilienceOptions& robust = options.robust;
+  Run run(mol, basis, options, ctx ? *ctx : ExecutionContext::process(),
+          nocc);
   const DurabilityOptions& dur = options.durability;
+  CancelToken& cancel = run.cancel;
 
   // Cooperative cancellation: the run's token (CLI signal handlers or a test
   // request() trip it) plus an optional wall-clock budget armed as a deadline
   // on the same token.  ScopedDeadline disarms on exit so a later run in this
   // process is not cancelled by THIS run's expired budget.
-  CancelToken& cancel = exec.cancel();
   ScopedDeadline deadline_guard(cancel, dur.max_seconds);
   // Liveness watchdog: detection only — a wedged parallel region records a
   // kWedged audit event and metrics; enforcement stays with the deadline.
-  ScopedWatchdog watchdog_guard(robust.watchdog_seconds);
+  ScopedWatchdog watchdog_guard(options.watchdog_seconds);
 
-  const bool durable =
-      !dur.checkpoint_path.empty() || !dur.restore_path.empty();
-  const std::uint64_t fingerprint =
-      durable ? scf_fingerprint(mol, basis, options, be->name(), comm.size())
-              : 0;
-
-  double last_energy = 0.0;
-  double last_error = 1.0;
-  // Once the SCF meets its thresholds under quantized kernels, one final
-  // pure-FP64 iteration polishes the result (the endpoint of the paper's
-  // convergence-aware schedule: FP64-level accuracy at convergence); the
-  // governor tracks this as its exact-final latch.
-  // Incremental-Fock state.
-  MatrixD d_prev, j_prev, k_prev;
-  // Recovery-ladder and soft-detector state.
-  LadderState ladder;
-  int rise_streak = 0;
-  std::vector<double> err_hist;
-  // Occupied ortho-basis eigenvectors of the previous iteration; used by the
-  // rung-2 level shift to push virtuals away from the occupied block.
-  MatrixD prev_y_occ;
-  bool aborted = false;
-  bool cancelled_stop = false;
-  int start_iter = 0;
-
-  if (!dur.restore_path.empty()) {
-    // Throws InputError (kCheckpointCorrupt / kCheckpointMismatch) on a bad
-    // or foreign file — a restore never silently restarts from scratch.
-    const ScfCheckpointState ck =
-        load_checkpoint(dur.restore_path, fingerprint);
-    start_iter = ck.next_iteration;
-    result.resumed_from = ck.next_iteration;
-    last_energy = ck.last_energy;
-    last_error = ck.last_error;
-    governor.restore(GovernorState{ck.governor_ladder_stage, ck.fp64_latched,
-                                   ck.force_exact});
-    result.energy = ck.energy;
-    result.e_one_electron = ck.e_one_electron;
-    result.e_coulomb = ck.e_coulomb;
-    result.e_exact_exchange = ck.e_exact_exchange;
-    result.e_xc = ck.e_xc;
-    result.density = ck.density;
-    result.fock = ck.fock;
-    result.coefficients = ck.coefficients;
-    result.orbital_energies = ck.orbital_energies;
-    ladder.rung = ck.ladder_rung;
-    ladder.damping = ck.damping != 0;
-    ladder.direct_diag = ck.direct_diag != 0;
-    ladder.full_rebuild = ck.full_rebuild != 0;
-    ladder.cooldown_until = ck.cooldown_until;
-    result.fp64_latched = governor.fp64_latched();
-    result.diagonalizer_fallback = ladder.direct_diag;
-    result.full_rebuild_latched = ladder.full_rebuild;
-    rise_streak = ck.rise_streak;
-    err_hist.assign(ck.err_hist.begin(), ck.err_hist.end());
-    prev_y_occ = ck.prev_y_occ;
-    d_prev = ck.d_prev;
-    j_prev = ck.j_prev;
-    k_prev = ck.k_prev;
-    diis.import_state(ck.diis_focks, ck.diis_errors, ck.last_error);
-    result.recovery_log = ck.recovery_log;
-    MAKO_METRIC_COUNT("scf.restores", 1);
-    log_info("run_scf: restored checkpoint '%s' at iteration %d (E=%.10f)",
-             dur.restore_path.c_str(), start_iter, last_energy);
-    if (ck.converged != 0) {
-      // The interrupted run had already converged; nothing left to iterate.
-      result.converged = true;
-      result.health = result.recovered() ? Health::kRecovered : Health::kOk;
-      return result;
-    }
-  } else {
-    // Core-Hamiltonian initial guess.
-    MatrixD f0 = matmul(matmul(x, Trans::kYes, hcore, Trans::kNo, be), x, be);
-    EigenResult es = eigh(f0);
-    result.coefficients = matmul(x, es.eigenvectors, be);
-    result.orbital_energies = es.eigenvalues;
-    result.density = build_density(result.coefficients, nocc);
-    if (comm.size() > 1) {
-      // Every rank iterates from rank 0's guess.  With in-process ranks the
-      // canonical buffer IS the payload, so a successful broadcast leaves it
-      // unchanged while exercising verified delivery and charging the
-      // modeled time; an exhausted retry budget means the ranks never agreed
-      // on a starting density, which is unrecoverable for this run.
-      result.comm_seconds += comm.broadcast(result.density, 0);
-      const Status bst = comm.last_status();
-      if (!bst.is_ok()) {
-        result.status = bst;
-        result.health = Health::kFault;
-        result.recovery_log.push_back(
-            {0, bst.kind(), RecoveryAction::kAbort, bst.message()});
-        log_error("run_scf: initial-guess broadcast failed: %s",
-                  bst.message().c_str());
-        return result;
-      }
-    }
+  ScfState st;
+  if (!dur.checkpoint_path.empty() || !dur.restore_path.empty()) {
+    st.fingerprint =
+        scf_fingerprint(mol, basis, options, run.be->name(), run.comm.size());
   }
 
-  // Checkpoint capture: snapshot every loop-carried datum at the end of a
-  // completed iteration.  The latest snapshot is written periodically and —
-  // whatever the exit path — once more at the end, so a kill or budget stop
-  // always leaves a resumable file describing the last completed iteration.
-  ScfCheckpointState last_ckpt;
-  bool have_ckpt = false;
-  int saved_next = -1;
-  auto capture_ckpt = [&](int next_iter, bool conv) {
-    ScfCheckpointState ck;
-    ck.fingerprint = fingerprint;
-    ck.next_iteration = next_iter;
-    ck.last_energy = last_energy;
-    ck.last_error = last_error;
-    ck.force_exact = governor.exact_final() ? 1 : 0;
-    ck.converged = conv ? 1 : 0;
-    ck.energy = result.energy;
-    ck.e_nuclear = result.e_nuclear;
-    ck.e_one_electron = result.e_one_electron;
-    ck.e_coulomb = result.e_coulomb;
-    ck.e_exact_exchange = result.e_exact_exchange;
-    ck.e_xc = result.e_xc;
-    ck.density = result.density;
-    ck.fock = result.fock;
-    ck.coefficients = result.coefficients;
-    ck.orbital_energies = result.orbital_energies;
-    ck.ladder_rung = ladder.rung;
-    ck.damping = ladder.damping ? 1 : 0;
-    ck.fp64_latched = governor.fp64_latched() ? 1 : 0;
-    ck.direct_diag = ladder.direct_diag ? 1 : 0;
-    ck.full_rebuild = ladder.full_rebuild ? 1 : 0;
-    ck.cooldown_until = ladder.cooldown_until;
-    ck.governor_ladder_stage = governor.state().ladder_stage;
-    ck.rise_streak = rise_streak;
-    ck.err_hist.assign(err_hist.begin(), err_hist.end());
-    ck.prev_y_occ = prev_y_occ;
-    ck.d_prev = d_prev;
-    ck.j_prev = j_prev;
-    ck.k_prev = k_prev;
-    double diis_err = 0.0;
-    diis.export_state(ck.diis_focks, ck.diis_errors, diis_err);
-    (void)diis_err;  // ck.last_error (the driver's metric) already covers it
-    ck.recovery_log = result.recovery_log;
-    return ck;
-  };
-  auto write_ckpt = [&](const ScfCheckpointState& ck) {
-    const Status st = save_checkpoint(dur.checkpoint_path, ck);
-    if (st.is_ok()) {
-      saved_next = ck.next_iteration;
-      MAKO_METRIC_COUNT("scf.checkpoints_written", 1);
-    } else {
-      // Never take down a healthy run over a failed checkpoint write.
-      log_warn("run_scf: %s", st.message().c_str());
-      MAKO_METRIC_COUNT("scf.checkpoint_write_failures", 1);
-    }
-  };
-
-  for (int iter = start_iter; iter < niter; ++iter) {
+  Step step = start(run, st);
+  while (step == Step::kContinue && st.next_iteration < run.niter) {
     if (cancel.cancelled()) {
-      cancelled_stop = true;
+      step = Step::kCancelled;
       break;
     }
-    Timer iter_timer;
-    ScfIterationRecord record;
-    obs::TraceSpan iter_span(obs::TraceCat::kScf, "scf.iteration");
-    if (iter_span.active()) {
-      char args[32];
-      std::snprintf(args, sizeof args, "\"iter\":%d", iter);
-      iter_span.set_args(args);
+    Iteration it(st.next_iteration);
+    step = build_jk(run, st, it);
+    if (step == Step::kContinue) step = assemble_fock(run, st, it);
+    if (step == Step::kContinue) step = solve(run, st, it);
+    if (step == Step::kContinue) {
+      update_density(run, st, it);
+      soft_sentinels(run, st, it);
+      step = commit(run, st, it);
     }
-    MAKO_METRIC_COUNT("scf.iterations", 1);
-
-    // Precision policy of the most recent Fock-build attempt; reported in
-    // the per-iteration telemetry record.
-    IterationPolicy policy;
-    FockStats fs;
-
-    // Appends the observability record mirroring `record`; called at every
-    // iteration_log push site (normal and abort paths).
-    auto append_telemetry = [&] {
-      obs::IterationTelemetry t;
-      t.iteration = iter;
-      t.energy = record.energy;
-      t.error = record.error;
-      t.seconds = record.seconds;
-      t.precision = policy.allow_quantized ? to_string(policy.quant_precision)
-                                           : "fp64";
-      t.reason = to_string(policy.reason);
-      t.quantized_allowed = policy.allow_quantized;
-      t.fp64_threshold = policy.fp64_threshold;
-      t.prune_threshold = policy.prune_threshold;
-      t.quartets_fp64 = fs.quartets_fp64;
-      t.quartets_quantized = fs.quartets_quantized;
-      t.quartets_pruned = fs.quartets_pruned;
-      t.quartets_fp64_high_l = fs.quartets_fp64_high_l;
-      t.eri_seconds = fs.eri_seconds;
-      t.digest_seconds = fs.digest_seconds;
-      t.route_seconds = fs.route_seconds;
-      t.ladder_rung = ladder.rung;
-      t.retries = record.retries;
-      t.domain_faults = record.domain_faults;
-      t.comm_retries = fs.comm_retries;
-      t.comm_allreduce_s = fs.comm_seconds;
-      t.comm_bytes = fs.comm_bytes;
-      result.telemetry.push_back(t);
-      MAKO_METRIC_OBSERVE("scf.iteration_s", record.seconds);
-    };
-
-    // Applies every ladder rung up to `target`, recording each activation.
-    auto escalate = [&](FaultKind fault, int target,
-                        const std::string& detail) {
-      if (!robust.recovery) return;
-      // Health-sentinel feedback to the precision authority: with the TF32
-      // ladder active, divergence/oscillation advances the format step early
-      // (noisy kernels are the first suspect); otherwise a no-op.
-      governor.observe_fault(fault);
-      target = std::min(target, 5);
-      while (ladder.rung < target) {
-        ++ladder.rung;
-        RecoveryAction action = RecoveryAction::kNone;
-        switch (ladder.rung) {
-          case 1:
-            diis.reset();
-            action = RecoveryAction::kDiisReset;
-            break;
-          case 2:
-            ladder.damping = true;
-            action = RecoveryAction::kDamping;
-            break;
-          case 3:
-            // Rung 3 requests FP64 through the governor — the SCF loop never
-            // mutates precision state directly.
-            governor.latch_fp64();
-            result.fp64_latched = true;
-            action = RecoveryAction::kPrecisionEscalation;
-            break;
-          case 4:
-            ladder.direct_diag = true;
-            result.diagonalizer_fallback = true;
-            action = RecoveryAction::kDiagonalizerFallback;
-            break;
-          case 5:
-            ladder.full_rebuild = true;
-            result.full_rebuild_latched = true;
-            action = RecoveryAction::kFockRebuild;
-            break;
-          default:
-            break;
-        }
-        record.recovery_mask |= recovery_bit(action);
-        result.recovery_log.push_back({iter, fault, action, detail});
-        log_warn("scf iter %d: recovery rung %d (%s) after %s fault", iter,
-                 ladder.rung, to_string(action), to_string(fault));
-      }
-    };
-
-    // --- Fock build, with in-iteration retry on hard numeric faults -------
-    MatrixD j, k;
-    bool force_full_this_iter = ladder.full_rebuild;
-    bool built_ok = false;
-    for (int attempt = 0; attempt <= robust.max_retries_per_iteration;
-         ++attempt) {
-      // Precision plan for this attempt.  The governor folds in everything
-      // that used to be scattered: the convergence-aware schedule, the
-      // capability gate, the rung-3 FP64 latch, and the exact-final polish.
-      policy = governor.plan_for_iteration(iter, iter == 0 ? 1.0 : last_error);
-
-      const std::uint64_t domain_before = domain_fault_count();
-      const bool do_incremental =
-          options.incremental_fock && iter > 0 && !governor.exact_final() &&
-          !force_full_this_iter &&
-          (iter % std::max(options.incremental_rebuild_period, 1) != 0);
-      if (do_incremental) {
-        // Two-electron response of the density change only.
-        MatrixD delta = result.density;
-        delta -= d_prev;
-        MatrixD dj, dk;
-        fs = fock_builder.build_jk(delta, policy, dj, dk);
-        if (MAKO_FAULT_POINT("scf.incremental_drift")) {
-          // Symmetric bias on the delta contribution: models accumulated
-          // incremental error that only full rebuilds (rung 5) clear.
-          const FaultSpec spec =
-              exec.faults().armed_spec("scf.incremental_drift");
-          dj(0, 0) += spec.magnitude;
-        }
-        j = j_prev;
-        j += dj;
-        k = k_prev;
-        k += dk;
-      } else {
-        fs = fock_builder.build_jk(result.density, policy, j, k);
-      }
-      record.domain_faults +=
-          static_cast<std::int64_t>(domain_fault_count() - domain_before);
-
-      // Cancellation trips leave J/K partial.  Bail BEFORE the audits: a
-      // half-built Fock legitimately fails the symmetry sentinel, and letting
-      // that read as a numerical fault would spuriously escalate the ladder
-      // on an otherwise healthy run.
-      if (fs.cancelled || cancel.cancelled()) {
-        cancelled_stop = true;
-        break;
-      }
-
-      // Collective failure first: an exhausted allreduce retry budget leaves
-      // J/K unusable in a way no sentinel can detect — a partial J is still
-      // symmetric and finite — so comm health routes into the same
-      // hard-fault retry path as the numeric audits.
-      Status st = fs.comm_status;
-      if (st.is_ok() && robust.sentinels) {
-        st = audit_finite(j, "J");
-        if (st.is_ok()) st = audit_finite(k, "K");
-        if (st.is_ok()) st = audit_symmetry(j, "J", robust.symmetry_tol);
-        if (st.is_ok()) st = audit_symmetry(k, "K", robust.symmetry_tol);
-      }
-      if (st.is_ok()) {
-        built_ok = true;
-        break;
-      }
-      record.fault_mask |= fault_bit(st.kind());
-      log_warn("scf iter %d: %s", iter, st.message().c_str());
-      if (!robust.recovery || attempt == robust.max_retries_per_iteration) {
-        result.status = st;
-        break;
-      }
-      // Hard numeric fault: jump to the precision-escalation rung (or the
-      // next rung up if already there) and rebuild within this iteration.
-      escalate(st.kind(), std::max(3, ladder.rung + 1), st.message());
-      force_full_this_iter = true;
-      ++record.retries;
-    }
-    if (cancelled_stop) break;  // discard the partial iteration
-    if (!built_ok) {
-      record.recovery_mask |= recovery_bit(RecoveryAction::kAbort);
-      result.recovery_log.push_back({iter, result.status.kind(),
-                                     RecoveryAction::kAbort,
-                                     result.status.message()});
-      log_error("scf iter %d: unrecoverable fault, aborting: %s", iter,
-                result.status.message().c_str());
-      record.seconds = iter_timer.seconds();
-      result.iteration_log.push_back(record);
-      append_telemetry();
-      result.iterations = iter + 1 - start_iter;
-      aborted = true;
-      break;
-    }
-    d_prev = result.density;
-    j_prev = j;
-    k_prev = k;
-    record.quartets_fp64 = fs.quartets_fp64;
-    record.quartets_quantized = fs.quartets_quantized;
-    record.quartets_pruned = fs.quartets_pruned;
-    result.comm_seconds += fs.comm_seconds;
-    result.comm_bytes += fs.comm_bytes;
-    result.comm_retries += fs.comm_retries;
-
-    XcResult xres;
-    if (grid) {
-      MAKO_TRACE_SCOPE(obs::TraceCat::kScf, "scf.xc");
-      xres = integrate_xc(basis, *grid, xc, result.density, be, &cancel);
-      MAKO_METRIC_COUNT("scf.xc_builds", 1);
-      if (xres.cancelled) {
-        cancelled_stop = true;  // partial quadrature; discard the iteration
-        break;
-      }
-    }
-
-    // F = H + J - (cx/2) K + Vxc.
-    MatrixD fock = hcore;
-    fock += j;
-    if (cx != 0.0) {
-      MatrixD kscaled = k;
-      kscaled *= -0.5 * cx;
-      fock += kscaled;
-    }
-    if (grid) fock += xres.vxc;
-
-    // Energy decomposition.  Locals until the iteration commits: a
-    // cancellation between here and the commit point must return a result
-    // whose energy terms all describe the same (previous) iteration.
-    const double e_one = trace_product(result.density, hcore);
-    const double e_coul = 0.5 * trace_product(result.density, j);
-    const double e_xx = -0.25 * cx * trace_product(result.density, k);
-    const double e_elec = e_one + e_coul + e_xx + xres.energy;
-    const double energy = e_elec + result.e_nuclear;
-
-    if (robust.sentinels && !std::isfinite(energy)) {
-      record.fault_mask |= fault_bit(FaultKind::kNonFinite);
-      result.status = Status::fault(FaultKind::kNonFinite,
-                                    "run_scf: total energy is non-finite");
-      record.recovery_mask |= recovery_bit(RecoveryAction::kAbort);
-      result.recovery_log.push_back({iter, FaultKind::kNonFinite,
-                                     RecoveryAction::kAbort,
-                                     result.status.message()});
-      record.seconds = iter_timer.seconds();
-      result.iteration_log.push_back(record);
-      append_telemetry();
-      result.iterations = iter + 1 - start_iter;
-      aborted = true;
-      break;
-    }
-
-    // DIIS extrapolation.
-    MatrixD f_use = fock;
-    if (options.use_diis) {
-      MAKO_TRACE_SCOPE(obs::TraceCat::kScf, "scf.diis");
-      const MatrixD err = diis_error_matrix(fock, result.density, s, x, be);
-      f_use = diis.extrapolate(fock, err);
-      last_error = diis.last_error();
-    } else {
-      last_error = std::fabs(energy - last_energy);
-    }
-
-    // Diagonalize in the orthonormal basis.
-    MatrixD f_ortho =
-        matmul(matmul(x, Trans::kYes, f_use, Trans::kNo, be), x, be);
-    // Rung-2 level shift: F_ortho += shift * (I - Y_occ Y_occ^T) raises the
-    // virtual block, suppressing occupied/virtual mixing while the run is
-    // still far from converged.  Tapers off near convergence so final
-    // orbital energies are unshifted.
-    if (ladder.damping && prev_y_occ.rows() == f_ortho.rows() &&
-        last_error > 10.0 * options.diis_convergence &&
-        robust.level_shift > 0.0) {
-      MatrixD p_occ =
-          matmul(prev_y_occ, Trans::kNo, prev_y_occ, Trans::kYes, be);
-      p_occ *= robust.level_shift;
-      for (std::size_t i = 0; i < f_ortho.rows(); ++i) {
-        f_ortho(i, i) += robust.level_shift;
-      }
-      f_ortho -= p_occ;
-    }
-
-    if (cancel.cancelled()) {
-      cancelled_stop = true;  // abandon before the (serial) diagonalization
-      break;
-    }
-    obs::TraceSpan diag_span(obs::TraceCat::kScf, "scf.diagonalize");
-    Timer diag_timer;
-    EigenResult es;
-    bool used_subspace = false;
-    if (options.diagonalizer == Diagonalizer::kSubspace &&
-        !ladder.direct_diag) {
-      // MatMul-aligned iterative path: only the occupied block (plus a
-      // small buffer) is solved for.
-      const std::size_t nev =
-          std::min(f_ortho.rows(), nocc + std::min<std::size_t>(nocc, 6) + 2);
-      std::size_t sub_iters = options.subspace_max_iter;
-      if (MAKO_FAULT_POINT("linalg.subspace_stall")) {
-        sub_iters = 1;  // starve the solver: models a stalled eigensolver
-      }
-      es = eigh_subspace(f_ortho, nev, sub_iters, options.subspace_tol);
-      used_subspace = true;
-    } else {
-      es = eigh(f_ortho);
-    }
-    if (robust.sentinels) {
-      Status dst = Status::ok();
-      if (used_subspace && !es.converged) {
-        dst = Status::fault(
-            FaultKind::kSubspaceStall,
-            "run_scf: subspace diagonalizer failed to converge within its "
-            "iteration budget");
-      } else {
-        const std::size_t probe =
-            std::min(nocc + 2, es.eigenvectors.cols());
-        dst = audit_eigen(es, "Fock diagonalization", probe,
-                          robust.ortho_tol);
-      }
-      if (!dst.is_ok()) {
-        record.fault_mask |= fault_bit(dst.kind());
-        log_warn("scf iter %d: %s", iter, dst.message().c_str());
-        if (robust.recovery) {
-          // Diagonalizer fault: fall back to the direct solver immediately.
-          escalate(dst.kind(), std::max(4, ladder.rung + 1), dst.message());
-          es = eigh(f_ortho);
-          ++record.retries;
-        }
-      }
-    }
-    diag_span.end();
-    MAKO_METRIC_OBSERVE("scf.diag_s", diag_timer.seconds());
-    // Save the occupied ortho-basis block for the next level shift.
-    if (es.eigenvectors.cols() >= nocc) {
-      prev_y_occ.resize(es.eigenvectors.rows(), nocc, 0.0);
-      for (std::size_t i = 0; i < es.eigenvectors.rows(); ++i) {
-        for (std::size_t o = 0; o < nocc; ++o) {
-          prev_y_occ(i, o) = es.eigenvectors(i, o);
-        }
-      }
-    }
-
-    result.coefficients = matmul(x, es.eigenvectors, be);
-    result.orbital_energies = es.eigenvalues;
-    MatrixD d_new = build_density(result.coefficients, nocc);
-    if (ladder.damping) {
-      // Rung-2 static damping: mix back a fraction of the previous density.
-      const double a = robust.damping_factor;
-      d_new *= (1.0 - a);
-      MatrixD d_old = result.density;
-      d_old *= a;
-      d_new += d_old;
-    }
-    result.density = std::move(d_new);
-    if (MAKO_FAULT_POINT("scf.density_perturb")) {
-      // Symmetric, finite perturbation of the next-iteration density: the
-      // soft sentinels (oscillation/stagnation) must catch this — no hard
-      // audit will.
-      const FaultSpec spec = exec.faults().armed_spec("scf.density_perturb");
-      result.density(0, 0) *= (1.0 + spec.magnitude);
-    }
-    result.fock = std::move(fock);
-    result.e_one_electron = e_one;
-    result.e_coulomb = e_coul;
-    result.e_exact_exchange = e_xx;
-    result.e_xc = xres.energy;
-
-    // Iteration boundary: ranks synchronize before the convergence test.
-    // DIIS and diagonalization are replicated, so the barrier only charges
-    // the modeled latency of an empty collective.
-    if (comm.size() > 1) result.comm_seconds += comm.barrier();
-
-    record.energy = energy;
-    record.error = last_error;
-    record.seconds = iter_timer.seconds();
-
-    // --- Soft sentinels: divergence / oscillation / stagnation ------------
-    if (robust.sentinels && options.fixed_iterations <= 0) {
-      if (iter > 0 && energy > last_energy + robust.divergence_tol) {
-        ++rise_streak;
-      } else {
-        rise_streak = 0;
-      }
-      err_hist.push_back(last_error);
-      const std::size_t w =
-          static_cast<std::size_t>(std::max(robust.stagnation_window, 1));
-      if (iter >= ladder.cooldown_until &&
-          rise_streak >= robust.divergence_window) {
-        record.fault_mask |= fault_bit(FaultKind::kDivergence);
-        char detail[128];
-        std::snprintf(detail, sizeof detail,
-                      "energy rose %d consecutive iterations (now %.10f)",
-                      rise_streak, energy);
-        escalate(FaultKind::kDivergence, ladder.rung + 1, detail);
-        rise_streak = 0;
-        ladder.cooldown_until = iter + robust.divergence_window + 1;
-      } else if (iter >= ladder.cooldown_until && err_hist.size() > w) {
-        const double err_then = err_hist[err_hist.size() - 1 - w];
-        if (last_error > robust.stagnation_factor * err_then &&
-            last_error > options.diis_convergence) {
-          // Classify: oscillation if the error bounced within the window,
-          // stagnation if it sat flat.
-          int rises = 0;
-          for (std::size_t i = err_hist.size() - w; i < err_hist.size();
-               ++i) {
-            if (err_hist[i] > err_hist[i - 1]) ++rises;
-          }
-          const FaultKind fk = (2 * rises >= static_cast<int>(w))
-                                   ? FaultKind::kOscillation
-                                   : FaultKind::kStagnation;
-          record.fault_mask |= fault_bit(fk);
-          char detail[128];
-          std::snprintf(detail, sizeof detail,
-                        "DIIS error %.3e made no progress over %zu "
-                        "iterations (was %.3e)",
-                        last_error, w, err_then);
-          escalate(fk, ladder.rung + 1, detail);
-          ladder.cooldown_until = iter + static_cast<int>(w);
-        }
-      }
-    }
-
-    result.iteration_log.push_back(record);
-    append_telemetry();
-    result.iterations = iter + 1 - start_iter;
-    result.energy = energy;
-
-    log_debug("scf iter %2d  E=%.10f  err=%.3e  (%lld fp64 / %lld quant / "
-              "%lld pruned)",
-              iter, energy, last_error,
-              static_cast<long long>(record.quartets_fp64),
-              static_cast<long long>(record.quartets_quantized),
-              static_cast<long long>(record.quartets_pruned));
-
-    bool converged_now = false;
-    if (options.fixed_iterations <= 0 && iter > 0 &&
-        std::fabs(energy - last_energy) < options.energy_convergence &&
-        last_error < options.diis_convergence) {
-      if (record.quartets_quantized > 0 && !governor.exact_final()) {
-        // Converged on quantized kernels: re-run the final iteration exact.
-        governor.request_exact_final();
-      } else {
-        converged_now = true;
-        result.converged = true;
-      }
-    }
-    last_energy = energy;
-
-    // End-of-iteration checkpoint: the snapshot describes a run that is
-    // ready to start iteration iter+1 (or is finished).  Written to disk on
-    // the configured cadence and on convergence; the post-loop final write
-    // covers every other exit path.
-    if (!dur.checkpoint_path.empty()) {
-      last_ckpt = capture_ckpt(iter + 1, converged_now);
-      have_ckpt = true;
-      const int every = std::max(dur.checkpoint_interval, 1);
-      if (converged_now || (iter + 1) % every == 0) {
-        write_ckpt(last_ckpt);
-      }
-    }
-    if (converged_now) break;
+    if (step == Step::kAbort) abort_iteration(run, st, it);
   }
 
   // Final checkpoint: whatever the exit path (budget, signal, abort,
   // iteration cap), the last completed iteration is on disk before we return.
-  if (have_ckpt && saved_next != last_ckpt.next_iteration) {
-    write_ckpt(last_ckpt);
+  if (run.have_last && run.saved_next != run.last.next_iteration) {
+    write_checkpoint(run);
   }
+  fill_result(run, st);
+  ScfResult& result = run.result;
 
   // Terminal health classification — the CLI exit-code contract.  A cancel
   // that lands after the run already finished its work does not demote a
   // converged result.
+  const bool aborted = step == Step::kAbort;
   const bool stopped_early =
-      cancelled_stop || (cancel.cancelled() && !result.converged && !aborted &&
-                         result.iterations < niter);
+      step == Step::kCancelled ||
+      (cancel.cancelled() && !result.converged && !aborted &&
+       result.iterations < run.niter);
   if (stopped_early) {
     const bool deadline = cancel.reason() == CancelReason::kDeadline;
     result.health =
@@ -880,14 +858,13 @@ ScfResult run_scf(const Molecule& mol, const BasisSet& basis,
                     "run_scf: no convergence within %d iterations "
                     "(last error %.3e); see ScfResult::recovery_log for what "
                     "the resilience ladder attempted",
-                    result.iterations, last_error);
+                    result.iterations, st.last_error);
       result.status = Status::fault(FaultKind::kStagnation, msg);
     }
   } else if (result.recovered()) {
     result.health = Health::kRecovered;
   }
-
-  return result;
+  return std::move(run.result);
 }
 
 }  // namespace mako

@@ -3,13 +3,16 @@
 // fingerprint guarding, and — the property the subsystem exists for —
 // bit-identical continuation of an interrupted run.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "chem/builders.hpp"
 #include "core/execution_context.hpp"
 #include "robust/checkpoint.hpp"
+#include "robust/fault_injector.hpp"
 #include "robust/status.hpp"
 #include "scf/scf.hpp"
 
@@ -33,6 +37,7 @@ class CheckpointTest : public ::testing::Test {
  protected:
   void TearDown() override {
     for (const std::string& p : cleanup_) std::remove(p.c_str());
+    FaultInjector::instance().disarm_all();
   }
 
   std::string track(const std::string& name) {
@@ -48,6 +53,58 @@ class CheckpointTest : public ::testing::Test {
     return m;
   }
 
+  static std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+
+  static void write_file(const std::string& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// Replaces the payload of section `tag` and recomputes its CRC, so the
+  /// file stays CRC-valid — a crafted file, not an accidental corruption.
+  /// Layout: magic(8) version(4) fingerprint(8) count(4), then per section
+  /// tag(4) length(8) crc(4) payload.
+  static void rewrite_section(const std::string& path, const char* tag,
+                              const std::string& payload) {
+    const std::string bytes = read_file(path);
+    std::size_t off = 24;
+    while (off + 16 <= bytes.size()) {
+      std::uint64_t len = 0;
+      std::memcpy(&len, bytes.data() + off + 4, sizeof len);
+      if (bytes.compare(off, 4, tag) == 0) {
+        std::string out = bytes.substr(0, off + 4);
+        const std::uint64_t new_len = payload.size();
+        const std::uint32_t crc = crc32(payload.data(), payload.size());
+        out.append(reinterpret_cast<const char*>(&new_len), sizeof new_len);
+        out.append(reinterpret_cast<const char*>(&crc), sizeof crc);
+        out += payload;
+        out += bytes.substr(off + 16 + len);
+        write_file(path, out);
+        return;
+      }
+      off += 16 + len;
+    }
+    FAIL() << "section " << tag << " not found";
+  }
+
+  static std::string u64s(std::initializer_list<std::uint64_t> values) {
+    std::string out;
+    for (const std::uint64_t v : values) {
+      out.append(reinterpret_cast<const char*>(&v), sizeof v);
+    }
+    return out;
+  }
+
+  static long peak_rss_kib() {
+    struct rusage ru{};
+    ::getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;
+  }
+
   static void expect_bitwise_equal(const MatrixD& a, const MatrixD& b) {
     ASSERT_EQ(a.rows(), b.rows());
     ASSERT_EQ(a.cols(), b.cols());
@@ -57,6 +114,9 @@ class CheckpointTest : public ::testing::Test {
   std::vector<std::string> cleanup_;
 };
 
+constexpr int kPerturbedIterations = 11;
+constexpr int kInterruptAt = 13;
+
 TEST_F(CheckpointTest, Crc32MatchesKnownVector) {
   // The IEEE 802.3 check value for the ASCII string "123456789".
   EXPECT_EQ(0xCBF43926u, crc32("123456789", 9));
@@ -64,7 +124,7 @@ TEST_F(CheckpointTest, Crc32MatchesKnownVector) {
 }
 
 TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
-  ScfCheckpointState s;
+  ScfState s;
   s.fingerprint = 0x1234'5678'9abc'def0ull;
   s.next_iteration = 17;
   s.last_energy = -76.02345678901234;
@@ -72,7 +132,6 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
   s.force_exact = 1;
   s.converged = 0;
   s.energy = -76.0;
-  s.e_nuclear = 9.1;
   s.e_one_electron = -120.5;
   s.e_coulomb = 46.9;
   s.e_exact_exchange = -8.9;
@@ -99,11 +158,10 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
   s.recovery_log.push_back({4, FaultKind::kNonFinite,
                             RecoveryAction::kPrecisionEscalation,
                             "test event"});
-  s.rng_state = "opaque-engine-bytes";
 
   const std::string path = track("roundtrip");
   ASSERT_TRUE(save_checkpoint(path, s).is_ok());
-  const ScfCheckpointState r = load_checkpoint(path, s.fingerprint);
+  const ScfState r = load_checkpoint(path, s.fingerprint);
 
   EXPECT_EQ(r.fingerprint, s.fingerprint);
   EXPECT_EQ(r.next_iteration, s.next_iteration);
@@ -112,7 +170,6 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(r.force_exact, s.force_exact);
   EXPECT_EQ(r.converged, s.converged);
   EXPECT_EQ(r.energy, s.energy);
-  EXPECT_EQ(r.e_nuclear, s.e_nuclear);
   EXPECT_EQ(r.e_one_electron, s.e_one_electron);
   EXPECT_EQ(r.e_coulomb, s.e_coulomb);
   EXPECT_EQ(r.e_exact_exchange, s.e_exact_exchange);
@@ -148,28 +205,35 @@ TEST_F(CheckpointTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(r.recovery_log[0].fault, FaultKind::kNonFinite);
   EXPECT_EQ(r.recovery_log[0].action, RecoveryAction::kPrecisionEscalation);
   EXPECT_EQ(r.recovery_log[0].detail, "test event");
-  EXPECT_EQ(r.rng_state, s.rng_state);
+  EXPECT_TRUE(r == s) << "a member is missing from the checkpoint field table";
 }
 
 TEST_F(CheckpointTest, AtomicWriteLeavesNoTempFile) {
   const std::string path = track("atomic");
-  ASSERT_TRUE(save_checkpoint(path, ScfCheckpointState{}).is_ok());
+  ASSERT_TRUE(save_checkpoint(path, ScfState{}).is_ok());
   std::ifstream final_file(path, std::ios::binary);
   EXPECT_TRUE(final_file.good());
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  std::ifstream tmp_file(tmp, std::ios::binary);
-  EXPECT_FALSE(tmp_file.good());
+  // Writes stage at <path>.tmp.<pid>.<seq>: no entry with that prefix may
+  // survive a successful save.
+  namespace fs = std::filesystem;
+  const fs::path target = fs::absolute(path);
+  const std::string prefix = target.filename().string() + ".tmp.";
+  for (const fs::directory_entry& e :
+       fs::directory_iterator(target.parent_path())) {
+    EXPECT_NE(e.path().filename().string().rfind(prefix, 0), 0u)
+        << "stray staging file " << e.path();
+  }
 }
 
 TEST_F(CheckpointTest, SaveToUnwritablePathReturnsFaultNotThrow) {
   const Status st =
-      save_checkpoint("/nonexistent-dir/ckpt.bin", ScfCheckpointState{});
+      save_checkpoint("/nonexistent-dir/ckpt.bin", ScfState{});
   EXPECT_FALSE(st.is_ok());
   EXPECT_EQ(st.kind(), FaultKind::kCheckpointError);
 }
 
 TEST_F(CheckpointTest, SingleFlippedByteIsDetected) {
-  ScfCheckpointState s;
+  ScfState s;
   s.density = filled(5, 5, 1.0);
   s.energy = -1.25;
   const std::string path = track("corrupt");
@@ -200,7 +264,7 @@ TEST_F(CheckpointTest, SingleFlippedByteIsDetected) {
 }
 
 TEST_F(CheckpointTest, TruncatedFileIsDetected) {
-  ScfCheckpointState s;
+  ScfState s;
   s.fock = filled(6, 6, 2.0);
   const std::string path = track("truncated");
   ASSERT_TRUE(save_checkpoint(path, s).is_ok());
@@ -220,13 +284,67 @@ TEST_F(CheckpointTest, TruncatedFileIsDetected) {
   }
 }
 
+// A crafted file with valid CRCs whose size fields claim far more data than
+// the section holds must be refused before anything is allocated.
+TEST_F(CheckpointTest, OversizedSizeFieldsAreRefusedBeforeAllocating) {
+  struct Case {
+    const char* name;
+    const char* tag;
+    std::string payload;
+  };
+  const Case cases[] = {
+      // 2^28 doubles (2 GiB) claimed by a 474-byte-class file.
+      {"vector", "EHST", u64s({1ull << 28})},
+      // One 2^20 x 2^20 DIIS matrix (8 TiB).
+      {"matrix", "DIIF", u64s({1, 1ull << 20, 1ull << 20})},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path = track(std::string("oversized-") + c.name);
+    ASSERT_TRUE(save_checkpoint(path, ScfState{}).is_ok());
+    rewrite_section(path, c.tag, c.payload);
+    const long rss_before = peak_rss_kib();
+    try {
+      (void)load_checkpoint(path);
+      ADD_FAILURE() << "oversized size field accepted";
+    } catch (const InputError& e) {
+      EXPECT_EQ(e.kind(), FaultKind::kCheckpointCorrupt);
+    }
+    EXPECT_LT(peak_rss_kib() - rss_before, 64L * 1024)
+        << "the reader allocated before checking the payload";
+  }
+}
+
+// Any layout change bumps the format version; a file of another version is
+// refused with a message naming both.
+TEST_F(CheckpointTest, OtherFormatVersionIsRefused) {
+  const std::string path = track("version");
+  ASSERT_TRUE(save_checkpoint(path, ScfState{}).is_ok());
+  std::string bytes = read_file(path);
+  std::uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 8, sizeof version);
+  EXPECT_EQ(version, 3u);
+  const std::uint32_t old_version = 2;
+  std::memcpy(bytes.data() + 8, &old_version, sizeof old_version);
+  write_file(path, bytes);
+  try {
+    (void)load_checkpoint(path);
+    FAIL() << "version-2 checkpoint accepted";
+  } catch (const InputError& e) {
+    EXPECT_EQ(e.kind(), FaultKind::kCheckpointCorrupt);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
+  }
+}
+
 TEST_F(CheckpointTest, MissingFileIsAnInputError) {
   EXPECT_THROW((void)load_checkpoint(scratch_path("never-written")),
                InputError);
 }
 
 TEST_F(CheckpointTest, FingerprintMismatchIsDetected) {
-  ScfCheckpointState s;
+  ScfState s;
   s.fingerprint = 0xAAAA'BBBB'CCCC'DDDDull;
   const std::string path = track("fingerprint");
   ASSERT_TRUE(save_checkpoint(path, s).is_ok());
@@ -343,7 +461,7 @@ TEST_F(CheckpointTest, ResumeIsBitIdenticalMidPrecisionLadder) {
   ASSERT_FALSE(part.converged);
 
   // The checkpoint must carry the non-default governor state.
-  const ScfCheckpointState saved = load_checkpoint(ck);
+  const ScfState saved = load_checkpoint(ck);
   EXPECT_EQ(saved.governor_ladder_stage, 1)
       << "interruption did not land after the TF32 latch; trajectory changed";
 
@@ -362,6 +480,75 @@ TEST_F(CheckpointTest, ResumeIsBitIdenticalMidPrecisionLadder) {
     EXPECT_EQ(resumed.iteration_log[i].quartets_quantized,
               full.iteration_log[i + 4].quartets_quantized)
         << "quartet routing diverged at resumed iteration " << i;
+  }
+}
+
+/// Interrupted while recovery rung 2 is active: damping, the level shift,
+/// the soft-detector history and the cooldown window all carry non-default
+/// values across the checkpoint, and the resumed run must still follow the
+/// uninterrupted trajectory bit for bit.
+TEST_F(CheckpointTest, ResumeIsBitIdenticalWithRecoveryRungActive) {
+  if (!FaultInjector::compiled_in()) {
+    GTEST_SKIP() << "built with MAKO_FAULT_INJECTION=OFF";
+  }
+  const Molecule w = make_water();
+  const BasisSet bs(w, "sto-3g");
+  // The perturbation ends (max_fires) before the interruption, so the head
+  // and the uninterrupted run see exactly the same faults.
+  FaultSpec spec;
+  spec.mode = FaultMode::kScale;
+  spec.magnitude = 0.3;
+  spec.max_fires = kPerturbedIterations;
+  ScfOptions base;
+  base.max_iterations = 100;
+
+  FaultInjector::instance().arm("scf.density_perturb", spec);
+  const ScfResult full = run_scf(w, bs, base);
+  FaultInjector::instance().disarm_all();
+  ASSERT_TRUE(full.converged);
+
+  const std::string ck = track("resume-rung");
+  ScfOptions head = base;
+  head.max_iterations = kInterruptAt;
+  head.durability.checkpoint_path = ck;
+  FaultInjector::instance().arm("scf.density_perturb", spec);
+  const ScfResult part = run_scf(w, bs, head);
+  FaultInjector::instance().disarm_all();
+  ASSERT_FALSE(part.converged);
+
+  // The checkpoint carries the rung-2 state this test is about.
+  const ScfState saved = load_checkpoint(ck);
+  ASSERT_EQ(saved.next_iteration, kInterruptAt);
+  EXPECT_EQ(saved.ladder_rung, 2);
+  EXPECT_EQ(saved.damping, 1);
+  EXPECT_GT(saved.cooldown_until, saved.next_iteration);
+  EXPECT_GT(saved.rise_streak, 0);
+  EXPECT_FALSE(saved.err_hist.empty());
+  EXPECT_GT(saved.last_error, 10.0 * base.diis_convergence)
+      << "the level shift is inactive at the interruption";
+  EXPECT_EQ(saved.prev_y_occ.rows(), bs.nbf());
+  // The state survives another save/load unchanged, member for member.
+  const std::string again = track("resume-rung-again");
+  ASSERT_TRUE(save_checkpoint(again, saved).is_ok());
+  EXPECT_TRUE(load_checkpoint(again) == saved);
+
+  ScfOptions tail = base;
+  tail.durability.restore_path = ck;
+  const ScfResult resumed = run_scf(w, bs, tail);
+  EXPECT_TRUE(resumed.converged);
+  EXPECT_EQ(resumed.resumed_from, kInterruptAt);
+  EXPECT_EQ(resumed.energy, full.energy);
+  expect_bitwise_equal(resumed.density, full.density);
+  EXPECT_TRUE(resumed.recovery_log == full.recovery_log);
+  ASSERT_EQ(resumed.iteration_log.size(),
+            full.iteration_log.size() - kInterruptAt);
+  for (std::size_t i = 0; i < resumed.iteration_log.size(); ++i) {
+    EXPECT_EQ(resumed.iteration_log[i].energy,
+              full.iteration_log[i + kInterruptAt].energy)
+        << "trajectory diverged at resumed iteration " << i;
+    EXPECT_EQ(resumed.iteration_log[i].error,
+              full.iteration_log[i + kInterruptAt].error)
+        << "DIIS error diverged at resumed iteration " << i;
   }
 }
 
@@ -409,7 +596,7 @@ TEST_F(CheckpointTest, CheckpointIntervalSkipsIntermediateWrites) {
   ASSERT_FALSE(r.converged);
   // Iterations 3 was the only periodic write; the final-state write then
   // persists iteration 5 on exit, so the file must resume at iteration 5.
-  const ScfCheckpointState s = load_checkpoint(ck);
+  const ScfState s = load_checkpoint(ck);
   EXPECT_EQ(s.next_iteration, 5);
 }
 
@@ -501,7 +688,7 @@ TEST_F(CheckpointTest, ConcurrentWritersToOnePathNeverCorruptIt) {
   constexpr int kWriters = 8;
   constexpr int kRounds = 25;
 
-  std::vector<ScfCheckpointState> states(kWriters);
+  std::vector<ScfState> states(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     states[w].fingerprint = 0xc0ffee;
     states[w].next_iteration = w + 1;
@@ -527,10 +714,10 @@ TEST_F(CheckpointTest, ConcurrentWritersToOnePathNeverCorruptIt) {
   EXPECT_EQ(failures.load(), 0);
   // Whichever writer won the last rename, the file is a complete state of
   // one of them — load_checkpoint throws on any torn/corrupt image.
-  const ScfCheckpointState r = load_checkpoint(path, 0xc0ffee);
+  const ScfState r = load_checkpoint(path, 0xc0ffee);
   ASSERT_GE(r.next_iteration, 1);
   ASSERT_LE(r.next_iteration, kWriters);
-  const ScfCheckpointState& expect = states[r.next_iteration - 1];
+  const ScfState& expect = states[r.next_iteration - 1];
   EXPECT_EQ(r.last_energy, expect.last_energy);
   expect_bitwise_equal(r.density, expect.density);
   expect_bitwise_equal(r.fock, expect.fock);
